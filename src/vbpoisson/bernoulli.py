@@ -9,7 +9,7 @@ import numpy as np
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import QuadApprox, refresh
-from .linalg import pd_inverse
+from .linalg import pd_inverse, single_blas_thread
 from .special_math import digamma, log_gamma, sigmoid
 
 
@@ -180,6 +180,7 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
     return float(sum(terms.values()))
 
 
+@single_blas_thread()
 def fit_bernoulli(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     """Run the Bernoulli-Gaussian coordinate ascent to convergence."""
     hp = hp or Hyperparameters()

@@ -264,6 +264,9 @@ def cli(argv=None) -> int:
             return _cmd_simulate(args)
         if args.command == "validate":
             return _cmd_validate(args)
+    except _io.FormatVersionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (_io.ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -94,10 +94,16 @@ class Hyperparameters:
             raise ValueError("max_iter must be a positive integer")
 
     def a_vec(self, p: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.a_gamma, dtype=float), (p,)).copy()
+        return self._gamma_vec("a_gamma", p)
 
     def b_vec(self, p: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.b_gamma, dtype=float), (p,)).copy()
+        return self._gamma_vec("b_gamma", p)
+
+    def _gamma_vec(self, name: str, p: int) -> np.ndarray:
+        value = np.asarray(getattr(self, name), dtype=float)
+        if value.ndim > 1 or value.size not in (1, p):
+            raise ValueError(f"{name} has length {value.size}; expected 1 or p = {p}")
+        return np.broadcast_to(value.reshape(-1), (p,)).copy()
 
 
 def rho2_for_inclusion(p0: float) -> float:

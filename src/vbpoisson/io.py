@@ -18,6 +18,10 @@ class ParseError(ValueError):
     """A cell or header in an input file could not be interpreted."""
 
 
+class FormatVersionError(ParseError):
+    """A result bundle was written in a format version this code does not read."""
+
+
 def load_csv(path: str, response_column: str | None, add_intercept: bool = True):
     """Read a headered numeric CSV into a design matrix and optional response.
 
@@ -164,6 +168,12 @@ def save_bundle(bundle: dict, path: str):
 def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
     with open(path, encoding="utf-8") as fh:
         bundle = json.load(fh)
+    version = bundle.get("metadata", {}).get("format_version")
+    if version != FORMAT_VERSION:
+        found = "no format_version" if version is None else f"format_version {version!r}"
+        raise FormatVersionError(
+            f"{path}: bundle has {found}; this version reads format_version {FORMAT_VERSION!r}"
+        )
     fit_d = bundle["fit"]
     fit = FitResult(
         method=Method(bundle["metadata"]["method"]),

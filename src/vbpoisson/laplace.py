@@ -9,7 +9,7 @@ import numpy as np
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
-from .linalg import pd_inverse
+from .linalg import pd_inverse, single_blas_thread
 from .special_math import GigParams, digamma, gig_moments, log_bessel_k_half, log_gamma
 
 
@@ -70,10 +70,7 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
     e_eta = (p + hp.nu - 1.0) / (hp.delta + 0.5 * np.sum(state.e_tau[1:]))
     e_tau = state.e_tau.copy()
     e_tau_inv = state.e_tau_inv.copy()
-    for j in range(1, p):
-        mean, inv_mean, _ = gig_moments(GigParams(a=e_eta, b=d_diag[j]))
-        e_tau[j] = mean
-        e_tau_inv[j] = inv_mean
+    e_tau[1:], e_tau_inv[1:], _ = gig_moments(GigParams(a=e_eta, b=d_diag[1:]))
     e_tau_inv[0] = 1.0 / (0.5 * d_diag[0] + state.e_a_inv)
     e_a_inv = 1.0 / (e_tau_inv[0] + 1.0 / hp.A)
     return replace(state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_a_inv=e_a_inv)
@@ -98,14 +95,12 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     beta_eta = hp.delta + 0.5 * np.sum(state.e_tau[1:])
     e_log_eta = digamma(alpha_eta) - np.log(beta_eta)
 
-    e_log_tau = np.zeros(p)
-    for j in range(1, p):
-        _, _, e_log_tau[j] = gig_moments(GigParams(a=state.e_eta, b=d_diag[j]))
+    _, _, e_log_tau = gig_moments(GigParams(a=state.e_eta, b=d_diag[1:]))
     root = np.sqrt(state.e_eta * d_diag[1:])
 
     terms = {
         "likelihood": approx_loglik(state.quad, dataset, mu, d_beta),
-        "beta_prior": -0.5 * (e_log_tau0 + np.sum(e_log_tau[1:]))
+        "beta_prior": -0.5 * (e_log_tau0 + np.sum(e_log_tau))
         - 0.5 * float(np.sum(state.e_tau_inv * d_diag)),
         "tau_prior": (p - 1) * (e_log_eta - np.log(2.0))
         - 0.5 * state.e_eta * np.sum(state.e_tau[1:]),
@@ -117,7 +112,7 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
             np.sum(
                 -0.25 * np.log(state.e_eta / d_diag[1:])
                 + log_bessel_k_half(root)
-                + 0.5 * e_log_tau[1:]
+                + 0.5 * e_log_tau
                 + 0.5 * (state.e_eta * state.e_tau[1:] + d_diag[1:] * state.e_tau_inv[1:])
             )
         ),
@@ -134,6 +129,7 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     return float(sum(terms.values()))
 
 
+@single_blas_thread()
 def fit_laplace(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     """Run the full coordinate ascent until the ELBO stops moving."""
     hp = hp or Hyperparameters()

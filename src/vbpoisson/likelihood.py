@@ -59,6 +59,7 @@ def approx_loglik(q: QuadApprox, dataset: Dataset, mu: np.ndarray, d_beta: np.nd
     return float(
         -q.m_xi @ (1.0 + xmu)
         - 0.5 * np.sum(q.xi**2 * np.exp(q.xi))
-        - 0.5 * np.trace(q.s_x_xi @ d_beta)
+        # both matrices are symmetric, so tr(S D) is their elementwise product sum
+        - 0.5 * np.vdot(q.s_x_xi, d_beta)
         + y @ xmu
     )

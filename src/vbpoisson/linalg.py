@@ -1,11 +1,97 @@
-"""Symmetric positive definite solves shared by the fit engines."""
+"""Symmetric positive definite solves shared by the fit engines, and the
+BLAS thread pin every fit runs under."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import threading
+
 import numpy as np
 from scipy import linalg as _la
+from scipy.linalg import lapack as _lapack
 
 from .errors import NumericalError
+
+# (get, set) symbol names of the OpenBLAS builds numpy and scipy ship, then
+# of a plain system OpenBLAS
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _find_blas_pools() -> list:
+    """(getter, setter) pairs of every OpenBLAS mapped into this process.
+
+    numpy and scipy, imported by this module, have loaded theirs; mapped
+    libraries are listed from /proc/self/maps. Where that file does not
+    exist, nothing is found and the thread pin does nothing.
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:
+                path = line.split()[-1]
+                if path.startswith("/") and "blas" in os.path.basename(path).lower():
+                    paths.add(path)
+    except OSError:
+        return []
+    pools = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.restype = ctypes.c_int
+                getter.argtypes = []
+                setter.restype = None
+                setter.argtypes = [ctypes.c_int]
+                pools.append((getter, setter))
+                break
+    return pools
+
+
+# found on the first pin, not at import, so importing opens no file
+_BLAS_POOLS: list | None = None
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list = []
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the enclosed block with every known OpenBLAS set to one thread.
+
+    The counts found on the outermost entry are restored when the last
+    nested or concurrent holder leaves, also when it leaves by an exception.
+    The pin is process-wide, as OpenBLAS's own setting is. At the matrix
+    sizes the engines use, extra threads cost more in wake-ups than they
+    save in arithmetic.
+    """
+    global _BLAS_POOLS, _pin_depth, _pin_saved
+    with _pin_lock:
+        if _BLAS_POOLS is None:
+            _BLAS_POOLS = _find_blas_pools()
+        if _pin_depth == 0:
+            _pin_saved = [(setter, getter()) for getter, setter in _BLAS_POOLS]
+            for setter, _ in _pin_saved:
+                setter(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for setter, count in _pin_saved:
+                    setter(count)
 
 
 def pd_inverse(precision: np.ndarray) -> tuple[np.ndarray, float]:
@@ -28,7 +114,11 @@ def pd_inverse(precision: np.ndarray) -> tuple[np.ndarray, float]:
             raise NumericalError(
                 "precision matrix is not positive definite", condition=cond
             ) from None
-    inv = _la.cho_solve((chol, True), np.eye(p))
-    inv = 0.5 * (inv + inv.T)
     logdet_precision = 2.0 * np.sum(np.log(np.diag(chol)))
+    # potri overwrites the lower triangle with that of the inverse and leaves
+    # the upper one as cholesky left it, all zeros; adding the transpose
+    # mirrors it exactly and doubles the diagonal, which is then halved
+    lower = _lapack.dpotri(chol, lower=1)[0]
+    inv = lower + lower.T
+    inv.flat[:: p + 1] *= 0.5
     return inv, -logdet_precision

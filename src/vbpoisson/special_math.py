@@ -1,7 +1,9 @@
-"""Scalar special functions and 1-D quadrature shared by the fit engines.
+"""Special functions and 1-D quadrature shared by the fit engines.
 
-All functions here are pure; they hold no state and may be called from any
-number of concurrent contexts.
+The GIG(1/2) moments take scalars or arrays and are closed forms throughout:
+the half-integer Bessel ratio for the mean and inverse mean, and the
+exponential integral for the log-moment. All functions here are pure; they
+hold no state and may be called from any number of concurrent contexts.
 """
 
 from __future__ import annotations
@@ -21,13 +23,16 @@ __all__ = [
     "sigmoid",
     "bessel_k_half_ratio",
     "log_bessel_k_half",
-    "log_bessel_k",
     "gig_moments",
     "integrate_1d",
 ]
 
-_ORDER_STEP = 1e-5
 _MAX_DEPTH = 60
+# e^z E1(z) switches from scipy's exp1 to its asymptotic series here, below
+# the point where e^z overflows; the series' first omitted term, 9!/z^9,
+# is then below 1e-20 relative
+_SERIES_FROM = 700.0
+_SERIES_TERMS = 8
 
 
 def digamma(x):
@@ -67,49 +72,65 @@ def log_bessel_k_half(x):
     return float(out) if out.ndim == 0 else out
 
 
-def log_bessel_k(order, x):
-    """log K_order(x), stable for large x (uses the scaled kve)."""
-    if x <= 0.0:
-        raise ValueError("log_bessel_k requires x > 0")
-    return float(np.log(_sp.kve(order, x)) - x)
+def _exp_e1(z):
+    """e^z E1(z) for z > 0, finite where e^z alone would overflow.
+
+    Uses scipy's exp1 below z = 700 and the asymptotic series
+    (1/z) sum_k (-1)^k k!/z^k above it.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    low = z < _SERIES_FROM
+    z_low = z[low]
+    out[low] = _sp.exp1(z_low) * np.exp(z_low)
+    high = z[~low]
+    acc = np.ones_like(high)
+    for k in range(_SERIES_TERMS, 0, -1):
+        acc = 1.0 - k / high * acc
+    out[~low] = acc / high
+    return out
 
 
 @dataclass(frozen=True)
 class GigParams:
-    """Parameters of a generalized inverse Gaussian distribution.
+    """Parameters of generalized inverse Gaussian distributions.
 
     Only order 1/2 is used in this package; `a` is the rate-like parameter
     and `b` the inverse-scale-like one (density ~ x^{order-1} e^{-(ax+b/x)/2}).
+    Either may be an array; the two broadcast against each other.
     """
 
-    a: float
-    b: float
+    a: float | np.ndarray
+    b: float | np.ndarray
     order: float = 0.5
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError("GigParams.a must be positive and finite")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise ValueError("GigParams.b must be positive and finite")
+        for name in ("a", "b"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all((value > 0.0) & np.isfinite(value)):
+                raise ValueError(f"GigParams.{name} must be positive and finite")
         if self.order != 0.5:
             raise ValueError("only order 1/2 is supported")
 
 
 def gig_moments(p: GigParams):
-    """Mean, inverse-moment and log-moment of a GIG(1/2, a, b) variable.
+    """Mean, inverse-moment and log-moment of GIG(1/2, a, b) variables.
 
-    Closed forms use the half-integer Bessel ratio; the log-moment needs the
-    order derivative of log K_t at t = 1/2, evaluated by central finite
-    difference (step 1e-5) on the stable log-K evaluation.
+    With r = sqrt(ab), the mean and inverse mean follow from the Bessel
+    ratio K_{3/2}(r)/K_{1/2}(r) = 1 + 1/r. The log-moment is
+    0.5*log(b/a) plus the order derivative of log K_t(r) at t = 1/2, which
+    equals e^{2r} E1(2r) (DLMF 10.38.7). Scalar parameters give floats,
+    array parameters arrays of their broadcast shape.
     """
-    root = math.sqrt(p.a * p.b)
+    a = np.asarray(p.a, dtype=float)
+    b = np.asarray(p.b, dtype=float)
+    root = np.sqrt(a * b)
     ratio = bessel_k_half_ratio(root)
-    mean = math.sqrt(p.b / p.a) * ratio
-    inv_mean = math.sqrt(p.a / p.b) * ratio - 1.0 / p.b
-    dlogk = (
-        log_bessel_k(0.5 + _ORDER_STEP, root) - log_bessel_k(0.5 - _ORDER_STEP, root)
-    ) / (2.0 * _ORDER_STEP)
-    log_mean = 0.5 * math.log(p.b / p.a) + dlogk
+    mean = np.sqrt(b / a) * ratio
+    inv_mean = np.sqrt(a / b) * ratio - 1.0 / b
+    log_mean = 0.5 * np.log(b / a) + _exp_e1(2.0 * root)
+    if mean.ndim == 0:
+        return float(mean), float(inv_mean), float(log_mean)
     return mean, inv_mean, log_mean
 
 

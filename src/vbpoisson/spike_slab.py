@@ -9,7 +9,7 @@ import numpy as np
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
-from .linalg import pd_inverse
+from .linalg import pd_inverse, single_blas_thread
 from .special_math import digamma, log_gamma, sigmoid
 
 
@@ -201,6 +201,7 @@ def _run_cs(dataset: Dataset, hp: Hyperparameters, p_start: float):
     return state, trace, converged
 
 
+@single_blas_thread()
 def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     """Run the spike-and-slab coordinate ascent to convergence.
 

@@ -95,6 +95,24 @@ def test_file_errors_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_bundle_of_another_format_version(tmp_path, data_csv, capsys):
+    out = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv,
+                "--response", "y", "--out", str(out)]) == EXIT_OK
+    bundle = json.loads(out.read_text(encoding="utf-8"))
+    bundle["metadata"]["format_version"] = "99"
+    out.write_text(json.dumps(bundle), encoding="utf-8")
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x2\n0.0,0.0\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    capsys.readouterr()
+    code = cli(["predict", "--model", str(out), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'99'" in err and "'1'" in err
+    assert not pred_out.exists()
+
+
 def test_validate_clean_and_dirty(tmp_path, data_csv, capsys):
     assert cli(["validate", "--data", data_csv, "--response", "y"]) == EXIT_OK
     assert "valid" in capsys.readouterr().out

@@ -5,6 +5,8 @@ import pytest
 
 from vbpoisson.core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from vbpoisson.io import (
+    FORMAT_VERSION,
+    FormatVersionError,
     ParseError,
     hyperparameters_from_config,
     load_bundle,
@@ -126,6 +128,23 @@ def test_bundle_round_trip(tmp_path, with_interval):
     np.testing.assert_array_equal(sparse2.beta_hat, sparse.beta_hat)
     assert sparse2.support == (0,)
     assert bundle2["metadata"]["seed"] == 7
+
+
+@pytest.mark.parametrize("version", ["0", None])
+def test_load_bundle_rejects_other_format_versions(tmp_path, version):
+    bundle = result_bundle(
+        _sample_fit(), _sample_sparse(), np.zeros((2, 2)), Hyperparameters(), 0, ["a", "b"]
+    )
+    if version is None:
+        del bundle["metadata"]["format_version"]
+    else:
+        bundle["metadata"]["format_version"] = version
+    path = str(tmp_path / "old.json")
+    save_bundle(bundle, path)
+    found = "no format_version" if version is None else f"format_version '{version}'"
+    with pytest.raises(FormatVersionError, match=f"{found}.*'{FORMAT_VERSION}'") as info:
+        load_bundle(path)
+    assert isinstance(info.value, ParseError)
 
 
 def test_bundle_excludes_wall_time_by_default(tmp_path):

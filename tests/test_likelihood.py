@@ -78,3 +78,25 @@ def test_expected_loglik_decreases_with_extra_variance():
     tight = approx_loglik(q, ds, mu, np.outer(mu, mu))
     loose = approx_loglik(q, ds, mu, np.outer(mu, mu) + 0.5 * np.eye(3))
     assert loose < tight
+
+
+def test_expected_loglik_equals_the_matrix_product_trace():
+    # the O(p^2) elementwise sum equals tr(S D) for the symmetric S and D
+    # every engine passes
+    rng = np.random.default_rng(3)
+    for n, p in ((30, 200), (12, 5), (4, 1)):
+        x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        y = rng.poisson(2.0, size=n).astype(float)
+        ds = Dataset(x, y)
+        q = refresh(0.3 * rng.standard_normal(n), ds)
+        mu = rng.standard_normal(p)
+        a = rng.standard_normal((p, p))
+        d_beta = np.outer(mu, mu) + a @ a.T / p
+        xmu = x @ mu
+        by_trace = float(
+            -q.m_xi @ (1.0 + xmu)
+            - 0.5 * np.sum(q.xi**2 * np.exp(q.xi))
+            - 0.5 * np.trace(q.s_x_xi @ d_beta)
+            + y @ xmu
+        )
+        assert approx_loglik(q, ds, mu, d_beta) == pytest.approx(by_trace, rel=1e-12)
