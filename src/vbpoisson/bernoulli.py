@@ -6,11 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cavi
+from .cavi import damped_step, indicator_terms, pi_expectations, update_pi
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
-from .errors import DivergenceError, NumericalError
+from .errors import NumericalError
 from .likelihood import QuadApprox, refresh
-from .linalg import pd_inverse, single_blas_thread
-from .special_math import digamma, log_gamma, sigmoid
+from .linalg import gaussian_factor, single_blas_thread
+from .special_math import digamma, log_gamma
 
 
 def omega_from_p(p_incl: np.ndarray) -> np.ndarray:
@@ -25,12 +27,16 @@ class BernoulliState:
     posterior: GaussianPosterior
     p_incl: np.ndarray
     e_alpha: np.ndarray
+    pi_p: np.ndarray
     e_log_pi: np.ndarray
     e_log_1mpi: np.ndarray
     omega: np.ndarray
     quad: QuadApprox
     logdet_sigma: float = 0.0
-    pi_p: np.ndarray | None = None
+
+    @property
+    def linear_coef(self) -> np.ndarray:
+        return self.p_incl * self.posterior.mean
 
 
 def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
@@ -40,38 +46,30 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
     p = dataset.p
     p_incl = np.full(p, 0.5)
     p_incl[0] = 1.0
+    e_log_pi, e_log_1mpi = pi_expectations(p_incl, hp)
     state = BernoulliState(
         posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
         p_incl=p_incl,
         e_alpha=hp.a_vec(p) / hp.b_vec(p),
-        e_log_pi=np.zeros(p),
-        e_log_1mpi=np.zeros(p),
+        pi_p=p_incl,
+        e_log_pi=e_log_pi,
+        e_log_1mpi=e_log_1mpi,
         omega=omega_from_p(p_incl),
         quad=refresh(np.log1p(dataset.response), dataset),
     )
-    state.pi_p = p_incl.copy()
-    state.e_log_pi, state.e_log_1mpi = _pi_expectations(p_incl, hp)
-    state.posterior = update_beta_bernoulli(state, dataset)
+    state.posterior, state.logdet_sigma = update_beta_bernoulli(state, dataset)
+    state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def _pi_expectations(p_incl: np.ndarray, hp: Hyperparameters) -> tuple[np.ndarray, np.ndarray]:
-    norm = digamma(hp.rho1 + hp.rho2 + 1.0)
-    return digamma(hp.rho1 + p_incl) - norm, digamma(hp.rho2 - p_incl + 1.0) - norm
-
-
 def update_beta_bernoulli(
-    state: BernoulliState, dataset: Dataset, refresh_xi: bool = True
-) -> GaussianPosterior:
-    """Gaussian coefficient update under the masked design moments."""
-    precision = state.quad.s_x_xi * state.omega + np.diag(state.e_alpha)
-    sigma, logdet = pd_inverse(precision)
-    resid = dataset.response - state.quad.m_xi
-    mu = sigma @ (state.p_incl * (dataset.design.T @ resid))
-    if refresh_xi:
-        state.quad = refresh(dataset.design @ (state.p_incl * mu), dataset)
-    state.logdet_sigma = logdet
-    return GaussianPosterior(mean=mu, covariance=sigma)
+    state: BernoulliState, dataset: Dataset
+) -> tuple[GaussianPosterior, float]:
+    """Gaussian coefficient factor under the masked design moments."""
+    return gaussian_factor(
+        state.quad.s_x_xi * state.omega + np.diag(state.e_alpha),
+        state.p_incl * (dataset.design.T @ (dataset.response - state.quad.m_xi)),
+    )
 
 
 def update_alpha_bernoulli(state: BernoulliState, hp: Hyperparameters) -> np.ndarray:
@@ -84,19 +82,8 @@ def update_alpha_bernoulli(state: BernoulliState, hp: Hyperparameters) -> np.nda
     return (hp.a_vec(p) + 0.5) / (hp.b_vec(p) + 0.5 * d_diag)
 
 
-def update_gamma_bernoulli(
-    state: BernoulliState, dataset: Dataset, damping: float = 0.5
-) -> np.ndarray:
-    """Sequential mask-probability sweep; each slope sees the freshest values.
-
-    Each probability moves only part of the way toward its coordinate
-    optimum.  The bound is concave in every single inclusion probability, so
-    the partial step still ascends, while full steps tend to lock the mask
-    onto a correlated neighbour of a true signal before the coefficients
-    have settled.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
+def update_gamma_bernoulli(state: BernoulliState, dataset: Dataset) -> np.ndarray:
+    """Sequential damped mask-probability sweep; each slope sees the freshest values."""
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_beta = np.outer(mu, mu) + sigma
     s = state.quad.s_x_xi
@@ -113,20 +100,24 @@ def update_gamma_bernoulli(
             + state.e_log_pi[j]
             - state.e_log_1mpi[j]
         )
-        p_new[j] = (1.0 - damping) * p_new[j] + damping * sigmoid(arg)
+        p_new[j] = damped_step(p_new[j], arg)
     return p_new
 
 
-def _entropy_bernoulli(p: np.ndarray) -> float:
-    p = np.clip(p, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        t = t + np.where(p < 1.0, (1.0 - p) * np.log(np.where(p < 1.0, 1.0 - p, 1.0)), 0.0)
-    return float(np.sum(t))
+def update_bernoulli(
+    state: BernoulliState, dataset: Dataset, hp: Hyperparameters
+) -> BernoulliState:
+    """One sweep at fixed xi: coefficients, precisions, Beta factors, then the mask."""
+    state.posterior, state.logdet_sigma = update_beta_bernoulli(state, dataset)
+    state.e_alpha = update_alpha_bernoulli(state, hp)
+    update_pi(state, hp)
+    state.p_incl = update_gamma_bernoulli(state, dataset)
+    state.omega = omega_from_p(state.p_incl)
+    return state
 
 
-def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters) -> float:
-    """Surrogate evidence lower bound, all non-constant terms included."""
+def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters) -> dict:
+    """Terms of the surrogate evidence lower bound, all non-constant ones."""
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
@@ -139,23 +130,17 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
     resid = dataset.response - state.quad.m_xi
     xi = state.quad.xi
     masked_mean = dataset.design @ (state.p_incl * mu)
-    p_slope = state.p_incl[1:]
-    pi_p = (state.pi_p if state.pi_p is not None else state.p_incl)[1:]
-    pi_alpha = hp.rho1 + pi_p
-    pi_beta = hp.rho2 - pi_p + 1.0
-    terms = {
+    gamma_prior, pi_prior, gamma_entropy, pi_entropy = indicator_terms(state, hp)
+    return {
         "likelihood": float(resid @ masked_mean)
         - 0.5 * float(np.sum(d_beta * (state.quad.s_x_xi * state.omega)))
         - float(np.sum(np.exp(xi) * (1.0 - xi + 0.5 * xi**2))),
         "beta_prior": 0.5 * float(np.sum(e_log_alpha)) - 0.5 * float(np.sum(d_diag * e_alpha)),
-        "gamma_prior": float(
-            np.sum(p_slope * state.e_log_pi[1:] + (1.0 - p_slope) * state.e_log_1mpi[1:])
-        ),
+        "gamma_prior": gamma_prior,
         "alpha_prior": float(np.sum((a_vec - 1.0) * e_log_alpha - b_vec * e_alpha)),
-        "pi_prior": (hp.rho1 - 1.0) * np.sum(state.e_log_pi[1:])
-        + (hp.rho2 - 1.0) * np.sum(state.e_log_1mpi[1:]),
+        "pi_prior": pi_prior,
         "beta_entropy": 0.5 * state.logdet_sigma,
-        "gamma_entropy": -_entropy_bernoulli(p_slope),
+        "gamma_entropy": gamma_entropy,
         "alpha_entropy": float(
             np.sum(
                 -a_post * np.log(b_post)
@@ -164,60 +149,22 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
                 + b_post * e_alpha
             )
         ),
-        "pi_entropy": float(
-            np.sum(
-                log_gamma(pi_alpha)
-                + log_gamma(pi_beta)
-                - log_gamma(pi_alpha + pi_beta)
-                - (pi_alpha - 1.0) * state.e_log_pi[1:]
-                - (pi_beta - 1.0) * state.e_log_1mpi[1:]
-            )
-        ),
+        "pi_entropy": pi_entropy,
     }
-    for name, value in terms.items():
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite ELBO term: {name}")
-    return float(sum(terms.values()))
 
 
 @single_blas_thread()
 def fit_bernoulli(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     """Run the Bernoulli-Gaussian coordinate ascent to convergence."""
     hp = hp or Hyperparameters()
-    state = init_bernoulli(dataset, hp)
-    trace = []
-    converged = False
-    try:
-        for _ in range(hp.max_iter):
-            state.omega = omega_from_p(state.p_incl)
-            state.posterior = update_beta_bernoulli(state, dataset, refresh_xi=False)
-            state.e_alpha = update_alpha_bernoulli(state, hp)
-            state.pi_p = state.p_incl.copy()
-            state.e_log_pi, state.e_log_1mpi = _pi_expectations(state.p_incl, hp)
-            state.p_incl = update_gamma_bernoulli(state, dataset)
-            state.omega = omega_from_p(state.p_incl)
-            state.quad = refresh(
-                dataset.design @ (state.p_incl * state.posterior.mean), dataset
-            )
-            elbo = elbo_bernoulli(state, dataset, hp)
-            if trace and abs(elbo - trace[-1]) / max(abs(trace[-1]), 1e-12) < hp.epsilon:
-                trace.append(elbo)
-                converged = True
-                break
-            trace.append(elbo)
-    except DivergenceError:
-        if not trace:
-            raise
-    return FitResult(
-        method=Method.BERNOULLI,
-        posterior=state.posterior,
-        inclusion_prob=state.p_incl.copy(),
-        hyper_expectations={
+    run = cavi.run(init_bernoulli(dataset, hp), dataset, hp, update_bernoulli, elbo_bernoulli)
+    state = run.state
+    return run.fit_result(
+        Method.BERNOULLI,
+        state.p_incl.copy(),
+        {
             "e_alpha": state.e_alpha.copy(),
             "e_log_pi": state.e_log_pi.copy(),
             "e_log_1mpi": state.e_log_1mpi.copy(),
         },
-        elbo_trace=np.array(trace),
-        iterations=len(trace),
-        converged=converged,
     )

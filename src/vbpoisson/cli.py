@@ -5,24 +5,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import io as _io
-from .bernoulli import fit_bernoulli
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method, validate
 from .errors import VbPoissonError
-from .harness import HIGH_DIM, LOW_DIM, ScenarioConfig, run_study
-from .laplace import fit_laplace
+from .harness import FITTERS, HIGH_DIM, LOW_DIM, ScenarioConfig, run_study
 from .predict import hpd_coefficients, predictive_distribution
-from .sparsify import threshold_bernoulli, threshold_hard
-from .spike_slab import fit_cs
+from .sparsify import sparsify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
-
-_FITTERS = {"laplace": fit_laplace, "cs": fit_cs, "bernoulli": fit_bernoulli}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,7 +33,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_fit = sub.add_parser("fit", help="fit one model to a CSV dataset")
-    p_fit.add_argument("--method", required=True, choices=sorted(_FITTERS))
+    p_fit.add_argument("--method", required=True, choices=sorted(m.value for m in Method))
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--response", required=True)
     p_fit.add_argument("--config")
@@ -97,14 +93,9 @@ def _destandardize(fit: FitResult, center: np.ndarray, scale: np.ndarray) -> Fit
         cov = t @ post.covariance @ t.T
         return GaussianPosterior(mean=mean, covariance=0.5 * (cov + cov.T))
 
-    return FitResult(
-        method=fit.method,
+    return replace(
+        fit,
         posterior=_map(fit.posterior),
-        inclusion_prob=fit.inclusion_prob,
-        hyper_expectations=fit.hyper_expectations,
-        elbo_trace=fit.elbo_trace,
-        iterations=fit.iterations,
-        converged=fit.converged,
         interval_posterior=(
             _map(fit.interval_posterior) if fit.interval_posterior is not None else None
         ),
@@ -127,13 +118,10 @@ def _cmd_fit(args) -> int:
     scale = np.ones(dataset.p)
     if args.standardize:
         work, center, scale = _standardize(dataset)
-    fit = _FITTERS[args.method](work, hp)
+    fit = FITTERS[Method(args.method)](work, hp)
     if args.standardize:
         fit = _destandardize(fit, center, scale)
-    if fit.method is Method.BERNOULLI:
-        sparse = threshold_bernoulli(fit, dataset)
-    else:
-        sparse = threshold_hard(fit, dataset)
+    sparse = sparsify(fit, dataset)
     hpd = hpd_coefficients(fit.interval_posterior or fit.posterior, args.level)
     bundle = _io.result_bundle(fit, sparse, hpd, hp, args.seed, names)
     _io.save_bundle(bundle, args.out)

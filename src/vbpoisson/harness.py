@@ -12,7 +12,7 @@ from .core import Dataset, FitResult, Hyperparameters, Method, rho2_for_inclusio
 from .errors import GenerationError, VbPoissonError
 from .laplace import fit_laplace
 from .predict import predictive_distribution
-from .sparsify import threshold_bernoulli, threshold_hard
+from .sparsify import sparsify
 from .spike_slab import fit_cs
 
 _AR_RHO = 0.3
@@ -178,17 +178,11 @@ class StudyResult:
     raw: list
 
 
-_FITTERS = {
+FITTERS = {
     Method.LAPLACE: fit_laplace,
     Method.CS: fit_cs,
     Method.BERNOULLI: fit_bernoulli,
 }
-
-
-def _sparsify(fit: FitResult, train: Dataset):
-    if fit.method is Method.BERNOULLI:
-        return threshold_bernoulli(fit, train)
-    return threshold_hard(fit, train)
 
 
 def _predict_counts(rows: np.ndarray, fit: FitResult, sparse) -> np.ndarray:
@@ -221,8 +215,8 @@ def run_study(
         for m in methods:
             t0 = time.perf_counter()
             try:
-                fit = _FITTERS[m](train, hp_t)
-                sparse = _sparsify(fit, train)
+                fit = FITTERS[m](train, hp_t)
+                sparse = sparsify(fit, train)
                 yhat_tr = _predict_counts(train.design, fit, sparse)
                 yhat_ts = _predict_counts(test.design, fit, sparse)
                 lo_hi = _coverage_interval(fit, hpd_level)

@@ -6,10 +6,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cavi
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
-from .errors import DivergenceError, NumericalError
+from .errors import NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
-from .linalg import pd_inverse, single_blas_thread
+from .linalg import gaussian_factor, single_blas_thread
 from .special_math import GigParams, digamma, gig_moments, log_bessel_k_half, log_gamma
 
 
@@ -29,6 +30,10 @@ class LaplaceState:
     quad: QuadApprox
     logdet_sigma: float = 0.0
 
+    @property
+    def linear_coef(self) -> np.ndarray:
+        return self.posterior.mean
+
 
 def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
     """Prior-mean initialization followed by one coefficient update."""
@@ -43,21 +48,17 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
         e_a_inv=hp.A,
         quad=refresh(np.log1p(dataset.response), dataset),
     )
-    state.posterior = update_beta_laplace(state, dataset)
+    state.posterior, state.logdet_sigma = update_beta_laplace(state, dataset)
+    state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def update_beta_laplace(
-    state: LaplaceState, dataset: Dataset, refresh_xi: bool = True
-) -> GaussianPosterior:
-    """Gaussian coefficient update; refreshes xi at the new mean in place."""
-    precision = state.quad.s_x_xi + np.diag(state.e_tau_inv)
-    sigma, logdet = pd_inverse(precision)
-    mu = sigma @ (dataset.design.T @ (dataset.response - state.quad.m_xi))
-    if refresh_xi:
-        state.quad = refresh(dataset.design @ mu, dataset)
-    state.logdet_sigma = logdet
-    return GaussianPosterior(mean=mu, covariance=sigma)
+def update_beta_laplace(state: LaplaceState, dataset: Dataset) -> tuple[GaussianPosterior, float]:
+    """Gaussian coefficient factor at fixed xi, with its log-determinant."""
+    return gaussian_factor(
+        state.quad.s_x_xi + np.diag(state.e_tau_inv),
+        dataset.design.T @ (dataset.response - state.quad.m_xi),
+    )
 
 
 def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceState:
@@ -76,8 +77,14 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
     return replace(state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_a_inv=e_a_inv)
 
 
-def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> float:
-    """Surrogate evidence lower bound, all non-constant terms included.
+def update_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
+    """One sweep at fixed xi: the coefficients, then the scale hierarchy."""
+    state.posterior, state.logdet_sigma = update_beta_laplace(state, dataset)
+    return update_hypers_laplace(state, hp)
+
+
+def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> dict:
+    """Terms of the surrogate evidence lower bound, all non-constant ones.
 
     The bound pairs every prior expectation with the matching variational
     entropy so that each coordinate update is non-decreasing while the
@@ -98,7 +105,7 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     _, _, e_log_tau = gig_moments(GigParams(a=state.e_eta, b=d_diag[1:]))
     root = np.sqrt(state.e_eta * d_diag[1:])
 
-    terms = {
+    return {
         "likelihood": approx_loglik(state.quad, dataset, mu, d_beta),
         "beta_prior": -0.5 * (e_log_tau0 + np.sum(e_log_tau))
         - 0.5 * float(np.sum(state.e_tau_inv * d_diag)),
@@ -123,43 +130,21 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
         + beta_eta * state.e_eta,
         "a_entropy": -np.log(b_a) + 2.0 * e_log_a + b_a * state.e_a_inv,
     }
-    for name, value in terms.items():
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite ELBO term: {name}")
-    return float(sum(terms.values()))
 
 
 @single_blas_thread()
 def fit_laplace(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     """Run the full coordinate ascent until the ELBO stops moving."""
     hp = hp or Hyperparameters()
-    state = init_laplace(dataset, hp)
-    trace = []
-    converged = False
-    try:
-        for _ in range(hp.max_iter):
-            state.posterior = update_beta_laplace(state, dataset)
-            state = update_hypers_laplace(state, hp)
-            elbo = elbo_laplace(state, dataset, hp)
-            if trace and abs(elbo - trace[-1]) / max(abs(trace[-1]), 1e-12) < hp.epsilon:
-                trace.append(elbo)
-                converged = True
-                break
-            trace.append(elbo)
-    except DivergenceError:
-        if not trace:
-            raise
-    return FitResult(
-        method=Method.LAPLACE,
-        posterior=state.posterior,
-        inclusion_prob=np.ones(dataset.p),
-        hyper_expectations={
+    run = cavi.run(init_laplace(dataset, hp), dataset, hp, update_laplace, elbo_laplace)
+    state = run.state
+    return run.fit_result(
+        Method.LAPLACE,
+        np.ones(dataset.p),
+        {
             "e_eta": state.e_eta,
             "e_tau": state.e_tau.copy(),
             "e_tau_inv": state.e_tau_inv.copy(),
             "e_a_inv": state.e_a_inv,
         },
-        elbo_trace=np.array(trace),
-        iterations=len(trace),
-        converged=converged,
     )

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import linalg as _la
 from scipy.linalg import lapack as _lapack
 
+from .core import GaussianPosterior
 from .errors import NumericalError
 
 # (get, set) symbol names of the OpenBLAS builds numpy and scipy ship, then
@@ -122,3 +123,10 @@ def pd_inverse(precision: np.ndarray) -> tuple[np.ndarray, float]:
     inv = lower + lower.T
     inv.flat[:: p + 1] *= 0.5
     return inv, -logdet_precision
+
+
+def gaussian_factor(precision: np.ndarray, score: np.ndarray) -> tuple[GaussianPosterior, float]:
+    """Gaussian with this precision and mean precision^-1 score; returns it
+    with the log-determinant of its covariance."""
+    sigma, logdet = pd_inverse(precision)
+    return GaussianPosterior(mean=sigma @ score, covariance=sigma), logdet

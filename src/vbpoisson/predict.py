@@ -15,7 +15,7 @@ from scipy import stats as _st
 from .core import FitResult, GaussianPosterior, Method
 from .errors import TruncationError
 from .sparsify import SparseCoefficients
-from .special_math import integrate_1d, log_gamma
+from .special_math import log_gamma
 
 _DEGENERATE_VAR = 1e-12
 _WINDOW_SD = 12.0
@@ -29,35 +29,13 @@ def _poisson_logpmf(y: np.ndarray, log_rate: float) -> np.ndarray:
 
 def ppmf_gaussian(x0: np.ndarray, posterior: GaussianPosterior, y0: int) -> float:
     """Predictive probability of the count y0 at covariate row x0."""
+    y0 = int(y0)
+    if y0 < 0:
+        raise ValueError("count must be nonnegative")
     x0 = np.asarray(x0, dtype=float)
     m = float(x0 @ posterior.mean)
     s2 = float(x0 @ posterior.covariance @ x0)
-    return _ppmf_scalar(m, s2, int(y0))
-
-
-def _ppmf_scalar(m: float, s2: float, y0: int) -> float:
-    if y0 < 0:
-        raise ValueError("count must be nonnegative")
-    if s2 < _DEGENERATE_VAR:
-        return float(np.exp(_poisson_logpmf(np.array(float(y0)), m)))
-    s = np.sqrt(s2)
-    lo, hi = m - _WINDOW_SD * s, m + _WINDOW_SD * s
-
-    def log_f(u):
-        return (
-            -np.exp(u)
-            + y0 * u
-            - float(log_gamma(y0 + 1.0))
-            - 0.5 * (u - m) ** 2 / s2
-            - 0.5 * np.log(2.0 * np.pi * s2)
-        )
-
-    probe = np.linspace(lo, hi, 65)
-    shift = max(log_f(u) for u in probe)
-    if not np.isfinite(shift):
-        return 0.0
-    val = integrate_1d(lambda u: np.exp(log_f(u) - shift), lo, hi, 1e-8)
-    return float(np.exp(shift) * val)
+    return float(_pmf_batch(m, s2, np.array([y0]))[0])
 
 
 def ppmf_bernoulli(
@@ -67,10 +45,7 @@ def ppmf_bernoulli(
     p_binary = np.asarray(p_binary, dtype=float)
     if not np.all(np.isin(p_binary, (0.0, 1.0))) or p_binary[0] != 1.0:
         raise ValueError("mask must be 0/1 with the intercept included")
-    x0 = np.asarray(x0, dtype=float) * p_binary
-    m = float(x0 @ posterior.mean)
-    s2 = float(x0 @ posterior.covariance @ x0)
-    return _ppmf_scalar(m, s2, int(y0))
+    return ppmf_gaussian(np.asarray(x0, dtype=float) * p_binary, posterior, y0)
 
 
 def _pmf_batch(m: float, s2: float, ys: np.ndarray) -> np.ndarray:

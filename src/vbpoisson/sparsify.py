@@ -42,9 +42,9 @@ def default_grid(mu: np.ndarray, size: int = 50) -> np.ndarray:
     return np.logspace(-4, np.log10(top), size)
 
 
-def _aic(loglik: float, df: int, conventional: bool) -> float:
-    if conventional:
-        return -2.0 * loglik + 2.0 * df
+def _aic(loglik: float, df: int) -> float:
+    """The criterion the threshold search minimises: -loglik + 2 df, which
+    weighs the log-likelihood half as much as the conventional AIC."""
     return -loglik + 2.0 * df
 
 
@@ -60,7 +60,7 @@ def threshold_bernoulli(fit: FitResult, dataset: Dataset | None = None) -> Spars
     df = len(support)
     aic = np.nan
     if dataset is not None:
-        aic = _aic(poisson_loglik(beta_hat, dataset), df, conventional=False)
+        aic = _aic(poisson_loglik(beta_hat, dataset), df)
     return SparseCoefficients(
         beta_hat=beta_hat,
         support=support,
@@ -72,10 +72,7 @@ def threshold_bernoulli(fit: FitResult, dataset: Dataset | None = None) -> Spars
 
 
 def threshold_hard(
-    fit: FitResult,
-    dataset: Dataset,
-    grid: np.ndarray | None = None,
-    conventional_aic: bool = False,
+    fit: FitResult, dataset: Dataset, grid: np.ndarray | None = None
 ) -> SparseCoefficients:
     """Pick the information-criterion-minimizing hard threshold from a grid.
 
@@ -96,7 +93,7 @@ def threshold_hard(
         beta_hat[1:] = np.where(np.abs(mu[1:]) <= kappa, 0.0, mu[1:])
         support = tuple(sorted(set(np.flatnonzero(beta_hat != 0.0).tolist()) | {0}))
         df = len(support)
-        aic = _aic(poisson_loglik(beta_hat, dataset), df, conventional_aic)
+        aic = _aic(poisson_loglik(beta_hat, dataset), df)
         if best is None or aic <= best.aic:
             p_binary = (beta_hat != 0.0).astype(float)
             p_binary[0] = 1.0
@@ -109,3 +106,11 @@ def threshold_hard(
                 p_binary=p_binary,
             )
     return best
+
+
+def sparsify(fit: FitResult, dataset: Dataset) -> SparseCoefficients:
+    """The fit method's own rule: p > 0.5 for Bernoulli, the AIC hard
+    threshold for Laplace and CS."""
+    if fit.method is Method.BERNOULLI:
+        return threshold_bernoulli(fit, dataset)
+    return threshold_hard(fit, dataset)

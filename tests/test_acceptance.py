@@ -13,16 +13,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from vbpoisson.bernoulli import (
-    _pi_expectations,
-    fit_bernoulli,
-    init_bernoulli,
-    omega_from_p,
-    update_alpha_bernoulli,
-    update_beta_bernoulli,
-    update_gamma_bernoulli,
-    elbo_bernoulli,
-)
+from vbpoisson import cavi
+from vbpoisson.bernoulli import elbo_bernoulli, fit_bernoulli, init_bernoulli, update_bernoulli
 from vbpoisson.cli import EXIT_OK, cli
 from vbpoisson.core import (
     Dataset,
@@ -33,13 +25,7 @@ from vbpoisson.core import (
     rho2_for_inclusion,
 )
 from vbpoisson.harness import HIGH_DIM, LOW_DIM, generate, run_study
-from vbpoisson.laplace import (
-    elbo_laplace,
-    fit_laplace,
-    init_laplace,
-    update_beta_laplace,
-    update_hypers_laplace,
-)
+from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_laplace
 from vbpoisson.likelihood import quad_bound
 from vbpoisson.mcmc import McmcConfig, accuracy, sample
 from vbpoisson.predict import predictive_distribution
@@ -50,15 +36,7 @@ from vbpoisson.sparsify import (
     threshold_hard,
 )
 from vbpoisson.special_math import GigParams, gig_moments
-from vbpoisson.spike_slab import (
-    elbo_cs,
-    fit_cs,
-    init_cs,
-    pi_expectations,
-    update_beta_cs,
-    update_tau2_cs,
-    update_z_cs,
-)
+from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
 STUDY_SEED = 2024
 ASCENT_TOL = 1e-8
@@ -88,42 +66,20 @@ def _ascent_dataset(seed: int) -> Dataset:
     return Dataset(x, y)
 
 
-def _frozen_sweep_laplace(ds, hp, iters=12):
-    state = init_laplace(ds, hp)
+# each engine's (init, one sweep at fixed expansion points, ELBO terms, fit)
+_ENGINES = {
+    "laplace": (init_laplace, update_laplace, elbo_laplace, fit_laplace),
+    "cs": (init_cs, update_cs, elbo_cs, fit_cs),
+    "bernoulli": (init_bernoulli, update_bernoulli, elbo_bernoulli, fit_bernoulli),
+}
+
+
+def _frozen_sweep(init, update, elbo_terms, ds, hp, iters=12):
+    state = init(ds, hp)
     vals = []
     for _ in range(iters):
-        state.posterior = update_beta_laplace(state, ds, refresh_xi=False)
-        state = update_hypers_laplace(state, hp)
-        vals.append(elbo_laplace(state, ds, hp))
-    return vals
-
-
-def _frozen_sweep_cs(ds, hp, iters=12):
-    state = init_cs(ds, hp)
-    vals = []
-    for _ in range(iters):
-        state.posterior = update_beta_cs(state, ds, hp, refresh_xi=False)
-        state.alpha_tau2, state.beta_tau2, state.e_tau2_inv = update_tau2_cs(state, hp)
-        state.e_a_inv = 1.0 / (state.e_tau2_inv + 1.0 / hp.A)
-        state.pi_p = state.p_incl.copy()
-        state.e_log_pi, state.e_log_1mpi = pi_expectations(state.p_incl, hp)
-        state.p_incl = update_z_cs(state, hp)
-        vals.append(elbo_cs(state, ds, hp))
-    return vals
-
-
-def _frozen_sweep_bernoulli(ds, hp, iters=12):
-    state = init_bernoulli(ds, hp)
-    vals = []
-    for _ in range(iters):
-        state.omega = omega_from_p(state.p_incl)
-        state.posterior = update_beta_bernoulli(state, ds, refresh_xi=False)
-        state.e_alpha = update_alpha_bernoulli(state, hp)
-        state.pi_p = state.p_incl.copy()
-        state.e_log_pi, state.e_log_1mpi = _pi_expectations(state.p_incl, hp)
-        state.p_incl = update_gamma_bernoulli(state, ds)
-        state.omega = omega_from_p(state.p_incl)
-        vals.append(elbo_bernoulli(state, ds, hp))
+        state = update(state, ds, hp)
+        vals.append(cavi.elbo(elbo_terms(state, ds, hp)))
     return vals
 
 
@@ -132,23 +88,17 @@ def test_elbo_ascent_and_convergence():
     full runs must stop before the iteration cap nearly always."""
     t0 = time.perf_counter()
     hp = Hyperparameters()
-    sweeps = {
-        "laplace": _frozen_sweep_laplace,
-        "cs": _frozen_sweep_cs,
-        "bernoulli": _frozen_sweep_bernoulli,
-    }
-    fitters = {"laplace": fit_laplace, "cs": fit_cs, "bernoulli": fit_bernoulli}
     violations = 0
     stopped_early = 0
     total_fits = 0
     for seed in range(50):
         ds = _ascent_dataset(seed)
-        for name in sweeps:
-            vals = sweeps[name](ds, hp)
+        for init, update, elbo_terms, fitter in _ENGINES.values():
+            vals = _frozen_sweep(init, update, elbo_terms, ds, hp)
             for prev, cur in zip(vals, vals[1:]):
                 if cur - prev < -ASCENT_TOL * abs(prev):
                     violations += 1
-            fit = fitters[name](ds, hp)
+            fit = fitter(ds, hp)
             total_fits += 1
             if fit.converged and fit.iterations < hp.max_iter:
                 stopped_early += 1

@@ -1,11 +1,15 @@
 """End-to-end command-line workflows and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vbpoisson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, cli
+from vbpoisson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _destandardize, _standardize, cli
+from vbpoisson.core import Dataset, FitResult, GaussianPosterior, Method
 
 
 @pytest.fixture()
@@ -158,3 +162,51 @@ def test_simulate_custom_requires_config(tmp_path, capsys):
                 "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_NUMERICAL
     capsys.readouterr()
+
+
+def _linear_predictor(post, x):
+    """Mean and variance of x @ beta for each row under a Gaussian posterior."""
+    return x @ post.mean, np.einsum("ij,jk,ik->i", x, post.covariance, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    p=st.integers(1, 8),
+    interval=st.booleans(),
+)
+def test_destandardized_posterior_keeps_the_linear_predictor(seed, n, p, interval):
+    rng = np.random.default_rng(seed)
+    # covariates with offsets and spreads far from zero mean and unit scale
+    cols = rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 10.0, p - 1)
+    x = np.column_stack([np.ones(n), cols + rng.uniform(-10.0, 10.0, p - 1)])
+    work, center, scale = _standardize(Dataset(x, np.zeros(n)))
+
+    def spd_posterior():
+        a = rng.standard_normal((p, p))
+        return GaussianPosterior(rng.standard_normal(p), a @ a.T + 0.1 * np.eye(p))
+
+    fit = FitResult(
+        method=Method.CS,
+        posterior=spd_posterior(),
+        inclusion_prob=rng.uniform(size=p),
+        hyper_expectations={"e_tau2_inv": 1.0},
+        elbo_trace=np.array([-3.0, -2.0]),
+        iterations=2,
+        converged=True,
+        interval_posterior=spd_posterior() if interval else None,
+    )
+    out = _destandardize(fit, center, scale)
+    pairs = [(fit.posterior, out.posterior)]
+    if interval:
+        pairs.append((fit.interval_posterior, out.interval_posterior))
+    else:
+        assert out.interval_posterior is None
+    for std_post, orig_post in pairs:
+        for want, got in zip(_linear_predictor(std_post, work.design), _linear_predictor(orig_post, x)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+    # every field other than the two mapped posteriors is carried over as is
+    for f in dataclasses.fields(FitResult):
+        if f.name not in ("posterior", "interval_posterior"):
+            assert getattr(out, f.name) is getattr(fit, f.name)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from vbpoisson import cavi
 from vbpoisson.bernoulli import fit_bernoulli, init_bernoulli, omega_from_p
 from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.harness import LOW_DIM, generate
 from vbpoisson.laplace import fit_laplace, init_laplace
-from vbpoisson.spike_slab import fit_cs, init_cs
+from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
 
 def _small_data(seed=0, n=80, p=5):
@@ -101,15 +102,13 @@ def test_bernoulli_separates_signal_from_noise():
 
 
 def test_cs_keeps_the_better_of_its_two_starts():
-    from vbpoisson.spike_slab import _run_cs
-
     train, _, _ = generate(LOW_DIM, np.random.default_rng([11, 2]))
     hp = Hyperparameters()
     fit = fit_cs(train, hp)
     finals = []
     for p_start in (0.5, 0.9):
-        _, trace, _ = _run_cs(train, hp, p_start)
-        finals.append(trace[-1])
+        run = cavi.run(init_cs(train, hp, p_start), train, hp, update_cs, elbo_cs)
+        finals.append(run.trace[-1])
     assert fit.elbo_trace[-1] == pytest.approx(max(finals), rel=1e-12)
 
 

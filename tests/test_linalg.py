@@ -105,7 +105,7 @@ def test_every_fit_runs_single_threaded(monkeypatch, fake_pools, module, fit):
         seen.append([p.count for p in fake_pools])
         return pd_inverse(precision)
 
-    monkeypatch.setattr(module, "pd_inverse", recording_inverse)
+    monkeypatch.setattr(linalg, "pd_inverse", recording_inverse)
     getattr(module, fit)(_small_data())
     assert seen and all(counts == [1, 1] for counts in seen)
     assert [p.count for p in fake_pools] == [2, 3]
