@@ -30,12 +30,14 @@ _DAMPING = 0.5
 
 @dataclass(frozen=True)
 class CaviRun:
-    """The last complete state, the ELBO after each iteration, and whether
-    its relative change fell below the tolerance."""
+    """The last complete state, the ELBO after each iteration, whether its
+    relative change fell below the tolerance, and the message of the
+    DivergenceError that ended the run, if one did."""
 
     state: object
     trace: list
     converged: bool
+    divergence: str | None = None
 
     def fit_result(
         self,
@@ -53,6 +55,7 @@ class CaviRun:
             iterations=len(self.trace),
             converged=self.converged,
             interval_posterior=interval_posterior,
+            divergence=self.divergence,
         )
 
 
@@ -69,17 +72,17 @@ def run(state, dataset: Dataset, hp: Hyperparameters, update, elbo_terms) -> Cav
 
     After each sweep the expansion points move to the new linear predictor.
     A DivergenceError in the first iteration propagates; a later one ends the
-    run, unconverged, at the last complete iteration.
+    run, unconverged, at the last complete iteration and with its message.
     """
     trace = []
     for _ in range(hp.max_iter):
         try:
             nxt = update(copy.copy(state), dataset, hp)
             nxt.quad = refresh(dataset.design @ nxt.linear_coef, dataset)
-        except DivergenceError:
+        except DivergenceError as exc:
             if not trace:
                 raise
-            break
+            return CaviRun(state, trace, False, str(exc))
         state = nxt
         value = elbo(elbo_terms(state, dataset, hp))
         done = bool(trace) and abs(value - trace[-1]) / max(abs(trace[-1]), 1e-12) < hp.epsilon

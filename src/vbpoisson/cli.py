@@ -41,9 +41,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--threads", type=int, default=1,
                        help="accepted for interface compatibility; execution is serial")
     p_fit.add_argument("--level", type=float, default=0.95)
-    std = p_fit.add_mutually_exclusive_group()
-    std.add_argument("--standardize", dest="standardize", action="store_true", default=True)
-    std.add_argument("--no-standardize", dest="standardize", action="store_false")
+    p_fit.add_argument("--no-standardize", dest="standardize", action="store_false")
     p_fit.add_argument("--out", required=True)
 
     p_pred = sub.add_parser("predict", help="predict counts from a saved fit")
@@ -125,6 +123,8 @@ def _cmd_fit(args) -> int:
     hpd = hpd_coefficients(fit.interval_posterior or fit.posterior, args.level)
     bundle = _io.result_bundle(fit, sparse, hpd, hp, args.seed, names)
     _io.save_bundle(bundle, args.out)
+    if fit.divergence is not None:
+        print(f"warning: fit stopped early: {fit.divergence}", file=sys.stderr)
     print(f"fit written to {args.out} (converged={fit.converged}, iterations={fit.iterations})")
     return EXIT_OK
 
@@ -157,48 +157,44 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+_SCENARIO_KEYS = {
+    "n": int, "p": int, "mu0": float, "sigma0": float, "mu_x": float, "sigma2_x": float,
+    "random_k": int, "train_fraction": float,
+    "z_mask": lambda value: np.array([float(v) for v in value.split(",")]),
+}
+
+
 def _scenario_from_args(args) -> ScenarioConfig:
-    if args.scenario == "low":
-        base = LOW_DIM
-    elif args.scenario == "high":
-        base = HIGH_DIM
-    else:
-        if not args.config:
-            raise _io.ParseError("--scenario custom requires --config")
-        base = None
-    overrides = {}
-    if args.config:
-        cfg = _io.load_config(args.config)
-        casts = {
-            "n": int, "p": int, "mu0": float, "sigma0": float, "mu_x": float,
-            "sigma2_x": float, "random_k": int, "train_fraction": float,
-        }
-        for key, value in cfg.items():
-            if key == "z_mask":
-                overrides[key] = np.array([float(v) for v in value.split(",")])
-            elif key in casts:
-                overrides[key] = casts[key](value)
-            else:
-                raise _io.ParseError(f"unknown scenario key {key!r}")
-    if base is None:
-        fields = dict(overrides)
-    else:
-        fields = {
-            "n": base.n, "p": base.p, "mu0": base.mu0, "sigma0": base.sigma0,
-            "mu_x": base.mu_x, "sigma2_x": base.sigma2_x, "z_mask": base.z_mask,
-            "random_k": base.random_k,
-        }
-        fields.update(overrides)
-    if overrides.get("random_k") is not None and "z_mask" not in overrides:
+    """The named scenario with the config's keys replaced, or, for `custom`,
+    the config's keys alone."""
+    if args.scenario == "custom" and not args.config:
+        raise _io.ParseError("--scenario custom requires --config")
+    fields = {}
+    for key, value in (_io.load_config(args.config) if args.config else {}).items():
+        if key not in _SCENARIO_KEYS:
+            raise _io.ParseError(f"unknown scenario key {key!r}")
+        try:
+            fields[key] = _SCENARIO_KEYS[key](value)
+        except ValueError:
+            raise _io.ParseError(f"scenario key {key!r}: could not parse {value!r}") from None
+    if "random_k" in fields and "z_mask" not in fields:
+        # a random support size replaces the named scenario's fixed mask
         fields["z_mask"] = None
-    fields["replications"] = args.replications
-    fields["seed"] = args.seed
-    return ScenarioConfig(**fields)
+    fields.update(replications=args.replications, seed=args.seed)
+    try:
+        if args.scenario == "custom":
+            return ScenarioConfig(**fields)
+        return replace({"low": LOW_DIM, "high": HIGH_DIM}[args.scenario], **fields)
+    except (TypeError, ValueError) as exc:
+        raise _io.ParseError(f"invalid scenario config: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
     config = _scenario_from_args(args)
-    methods = tuple(Method(m.strip()) for m in args.methods.split(",") if m.strip())
+    try:
+        methods = tuple(Method(m.strip()) for m in args.methods.split(",") if m.strip())
+    except ValueError as exc:
+        raise _io.ParseError(f"--methods: {exc}") from None
     result = run_study(config, methods=methods)
     _io.write_raw_table(result.raw, args.out)
     summary = {}

@@ -128,7 +128,8 @@ class FitResult:
     interval_posterior, when set, is the coefficient posterior with every
     coefficient conditioned on slab membership; interval summaries use it
     because the mixed-precision posterior can be overconfident about
-    coefficients it has assigned to the spike.
+    coefficients it has assigned to the spike. divergence, when set, is the
+    reason a diverging iteration ended the fit at the last complete one.
     """
 
     method: Method
@@ -139,3 +140,4 @@ class FitResult:
     iterations: int = 0
     converged: bool = False
     interval_posterior: GaussianPosterior | None = None
+    divergence: str | None = None

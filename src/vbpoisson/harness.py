@@ -11,7 +11,7 @@ from .bernoulli import fit_bernoulli
 from .core import Dataset, FitResult, Hyperparameters, Method, rho2_for_inclusion
 from .errors import GenerationError, VbPoissonError
 from .laplace import fit_laplace
-from .predict import predictive_distribution
+from .predict import hpd_coefficients, predictive_distribution
 from .sparsify import sparsify
 from .spike_slab import fit_cs
 
@@ -151,13 +151,6 @@ def metric_selection(beta_hat: np.ndarray, beta_true: np.ndarray) -> tuple[float
     return fnr, fpr
 
 
-def aicc(loglik: float, df: int, n: int) -> float:
-    """Small-sample corrected information criterion; +inf when undefined."""
-    if n <= df + 1:
-        return float("inf")
-    return -loglik + 2.0 * df + 2.0 * df * (df + 1.0) / (n - df - 1.0)
-
-
 @dataclass
 class MetricsReport:
     """Aggregate study metrics for one method."""
@@ -195,7 +188,6 @@ def run_study(
     config: ScenarioConfig,
     methods: tuple = (Method.LAPLACE, Method.CS, Method.BERNOULLI),
     hp: Hyperparameters | None = None,
-    hpd_level: float = 0.95,
 ) -> StudyResult:
     """Seeded replication loop; every replication is independently reseeded."""
     reports = {m: MetricsReport(coverage=np.zeros(config.p)) for m in methods}
@@ -219,7 +211,7 @@ def run_study(
                 sparse = sparsify(fit, train)
                 yhat_tr = _predict_counts(train.design, fit, sparse)
                 yhat_ts = _predict_counts(test.design, fit, sparse)
-                lo_hi = _coverage_interval(fit, hpd_level)
+                lo_hi = hpd_coefficients(fit.interval_posterior or fit.posterior, 0.95)
                 covered = (lo_hi[:, 0] <= beta_true) & (beta_true <= lo_hi[:, 1])
             except VbPoissonError as exc:
                 reports[m].failures += 1
@@ -276,9 +268,3 @@ def _safe_re(preds, actuals) -> float:
         return metric_relative_error(preds, actuals)
     except ZeroDivisionError:
         return float("nan")
-
-
-def _coverage_interval(fit: FitResult, level: float) -> np.ndarray:
-    from .predict import hpd_coefficients
-
-    return hpd_coefficients(fit.interval_posterior or fit.posterior, level)

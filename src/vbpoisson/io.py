@@ -22,10 +22,11 @@ class FormatVersionError(ParseError):
     """A result bundle was written in a format version this code does not read."""
 
 
-def load_csv(path: str, response_column: str | None, add_intercept: bool = True):
+def load_csv(path: str, response_column: str | None):
     """Read a headered numeric CSV into a design matrix and optional response.
 
-    Returns (Dataset, column_names) when a response column is named, else
+    An intercept column of ones comes first in the design. Returns
+    (Dataset, column_names) when a response column is named, else
     (matrix, column_names) of the covariates alone.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -54,22 +55,16 @@ def load_csv(path: str, response_column: str | None, add_intercept: bool = True)
         raise ParseError(f"{path}: no data rows")
     data = np.array(rows)
     if response_column is None:
-        covs = data
-        names = header
-        if add_intercept:
-            covs = np.column_stack([np.ones(covs.shape[0]), covs])
-            names = ["(intercept)"] + names
-        return covs, names
+        return np.column_stack([np.ones(data.shape[0]), data]), ["(intercept)"] + header
     if response_column not in header:
         raise ParseError(f"{path}: response column {response_column!r} not found")
     ridx = header.index(response_column)
-    y = data[:, ridx]
     covs = np.delete(data, ridx, axis=1)
     names = [h for i, h in enumerate(header) if i != ridx]
-    if add_intercept:
-        covs = np.column_stack([np.ones(covs.shape[0]), covs])
-        names = ["(intercept)"] + names
-    return Dataset(covs, y), names
+    return (
+        Dataset(np.column_stack([np.ones(covs.shape[0]), covs]), data[:, ridx]),
+        ["(intercept)"] + names,
+    )
 
 
 def load_config(path: str) -> dict:
@@ -88,13 +83,19 @@ def load_config(path: str) -> dict:
 
 
 def hyperparameters_from_config(cfg: dict) -> Hyperparameters:
-    fields = {f.name: f.type for f in dataclasses.fields(Hyperparameters)}
+    fields = {f.name for f in dataclasses.fields(Hyperparameters)}
     kwargs = {}
     for key, value in cfg.items():
         if key not in fields:
             raise ParseError(f"unknown hyperparameter {key!r}")
-        kwargs[key] = int(value) if key == "max_iter" else float(value)
-    return Hyperparameters(**kwargs)
+        try:
+            kwargs[key] = int(value) if key == "max_iter" else float(value)
+        except ValueError:
+            raise ParseError(f"hyperparameter {key!r}: could not parse {value!r}") from None
+    try:
+        return Hyperparameters(**kwargs)
+    except ValueError as exc:
+        raise ParseError(f"invalid hyperparameter: {exc}") from None
 
 
 def _jsonable(obj):
@@ -116,12 +117,10 @@ def result_bundle(
     hp: Hyperparameters,
     seed: int | None,
     column_names: list,
-    wall_time_s: float | None = None,
 ) -> dict:
     """Assemble the serializable record of one fitted model.
 
-    Wall time is excluded unless explicitly passed, so identical seeds give
-    byte-identical files.
+    It holds no wall time, so identical seeds give byte-identical files.
     """
     meta = {
         "format_version": FORMAT_VERSION,
@@ -130,8 +129,6 @@ def result_bundle(
         "seed": seed,
         "columns": list(column_names),
     }
-    if wall_time_s is not None:
-        meta["wall_time_s"] = wall_time_s
     fit_block = {
         "mean": _jsonable(fit.posterior.mean),
         "covariance": _jsonable(fit.posterior.covariance),

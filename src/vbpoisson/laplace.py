@@ -19,12 +19,14 @@ class LaplaceState:
     """Variational state for the Laplace-prior engine.
 
     e_tau[0] is a placeholder (the intercept scale enters only through
-    e_tau_inv[0]); slope entries hold E(tau_j) from the GIG factor.
+    e_tau_inv[0]); slope entries hold E(tau_j) from the GIG factor, and
+    e_log_tau the slopes' E(log tau_j) from the same factor.
     """
 
     posterior: GaussianPosterior
     e_tau: np.ndarray
     e_tau_inv: np.ndarray
+    e_log_tau: np.ndarray
     e_eta: float
     e_a_inv: float
     quad: QuadApprox
@@ -44,6 +46,7 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
         posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
         e_tau=np.ones(p),
         e_tau_inv=np.ones(p),
+        e_log_tau=np.zeros(p - 1),
         e_eta=hp.nu / hp.delta,
         e_a_inv=hp.A,
         quad=refresh(np.log1p(dataset.response), dataset),
@@ -71,10 +74,12 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
     e_eta = (p + hp.nu - 1.0) / (hp.delta + 0.5 * np.sum(state.e_tau[1:]))
     e_tau = state.e_tau.copy()
     e_tau_inv = state.e_tau_inv.copy()
-    e_tau[1:], e_tau_inv[1:], _ = gig_moments(GigParams(a=e_eta, b=d_diag[1:]))
+    e_tau[1:], e_tau_inv[1:], e_log_tau = gig_moments(GigParams(a=e_eta, b=d_diag[1:]))
     e_tau_inv[0] = 1.0 / (0.5 * d_diag[0] + state.e_a_inv)
     e_a_inv = 1.0 / (e_tau_inv[0] + 1.0 / hp.A)
-    return replace(state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_a_inv=e_a_inv)
+    return replace(
+        state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_log_tau=e_log_tau, e_a_inv=e_a_inv
+    )
 
 
 def update_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
@@ -101,13 +106,11 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     alpha_eta = p + hp.nu - 1.0
     beta_eta = hp.delta + 0.5 * np.sum(state.e_tau[1:])
     e_log_eta = digamma(alpha_eta) - np.log(beta_eta)
-
-    _, _, e_log_tau = gig_moments(GigParams(a=state.e_eta, b=d_diag[1:]))
     root = np.sqrt(state.e_eta * d_diag[1:])
 
     return {
         "likelihood": approx_loglik(state.quad, dataset, mu, d_beta),
-        "beta_prior": -0.5 * (e_log_tau0 + np.sum(e_log_tau))
+        "beta_prior": -0.5 * (e_log_tau0 + np.sum(state.e_log_tau))
         - 0.5 * float(np.sum(state.e_tau_inv * d_diag)),
         "tau_prior": (p - 1) * (e_log_eta - np.log(2.0))
         - 0.5 * state.e_eta * np.sum(state.e_tau[1:]),
@@ -119,7 +122,7 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
             np.sum(
                 -0.25 * np.log(state.e_eta / d_diag[1:])
                 + log_bessel_k_half(root)
-                + 0.5 * e_log_tau
+                + 0.5 * state.e_log_tau
                 + 0.5 * (state.e_eta * state.e_tau[1:] + d_diag[1:] * state.e_tau_inv[1:])
             )
         ),

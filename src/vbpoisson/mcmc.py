@@ -187,23 +187,20 @@ def sample(
 
         def gibbs():
             nonlocal gamma, pi, alpha
-            a_vec, b_vec = hp.a_vec(p), hp.b_vec(p)
-            for j in range(p):
-                alpha[j] = rng.gamma(a_vec[j] + 0.5) / (b_vec[j] + 0.5 * beta[j] ** 2)
-            masked = gamma * beta
-            eta_cur = x @ masked
+            alpha = rng.gamma(hp.a_vec(p) + 0.5) / (hp.b_vec(p) + 0.5 * beta**2)
+            eta_cur = x @ (gamma * beta)
+            ll_cur = _poisson_loglik(eta_cur, y)
             for j in range(1, p):
-                eta_on = eta_cur + (1.0 - gamma[j]) * beta[j] * x[:, j]
-                eta_off = eta_cur - gamma[j] * beta[j] * x[:, j]
-                delta = (
-                    _poisson_loglik(eta_on, y)
-                    - _poisson_loglik(eta_off, y)
-                    + np.log(pi[j])
-                    - np.log(1.0 - pi[j])
-                )
+                # the current linear predictor is one side of the flip; only
+                # the other side's likelihood is new
+                eta_flip = eta_cur + (1.0 - 2.0 * gamma[j]) * beta[j] * x[:, j]
+                ll_flip = _poisson_loglik(eta_flip, y)
+                ll_on, ll_off = (ll_cur, ll_flip) if gamma[j] > 0.5 else (ll_flip, ll_cur)
+                delta = ll_on - ll_off + np.log(pi[j]) - np.log(1.0 - pi[j])
                 prob = 1.0 / (1.0 + np.exp(np.clip(-delta, -700, 700)))
                 new = float(rng.random() < prob)
-                eta_cur = eta_on if new > 0.5 else eta_off
+                if new != gamma[j]:
+                    eta_cur, ll_cur = eta_flip, ll_flip
                 gamma[j] = new
                 pi[j] = rng.beta(hp.rho1 + gamma[j], hp.rho2 + 1.0 - gamma[j])
 

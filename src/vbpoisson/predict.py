@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _st
 
-from .core import FitResult, GaussianPosterior, Method
+from .core import FitResult, GaussianPosterior
 from .errors import TruncationError
 from .sparsify import SparseCoefficients
 from .special_math import log_gamma
@@ -99,28 +99,16 @@ class PredictiveDistribution:
         return float(np.arange(self.support_max + 1) @ self.pmf)
 
 
-def _hpd_set(pmf: np.ndarray, level: float, contiguous: bool) -> tuple:
-    order = np.argsort(-pmf, kind="stable")
-    if not contiguous:
-        total = 0.0
-        chosen = []
-        for idx in order:
-            chosen.append(int(idx))
-            total += pmf[idx]
-            if total >= level:
-                break
-        return tuple(sorted(chosen))
-    # contiguous variant: smallest window around the mode reaching the level
-    best = None
-    cum = np.concatenate([[0.0], np.cumsum(pmf)])
-    for lo in range(pmf.shape[0]):
-        hi = np.searchsorted(cum, cum[lo] + level)
-        if hi <= pmf.shape[0]:
-            if best is None or hi - lo < best[1] - best[0]:
-                best = (lo, hi)
-    if best is None:
-        best = (0, pmf.shape[0])
-    return tuple(range(best[0], best[1]))
+def _hpd_set(pmf: np.ndarray, level: float) -> tuple:
+    """The largest masses, taken in decreasing order until they reach the level."""
+    total = 0.0
+    chosen = []
+    for idx in np.argsort(-pmf, kind="stable"):
+        chosen.append(int(idx))
+        total += pmf[idx]
+        if total >= level:
+            break
+    return tuple(sorted(chosen))
 
 
 def predictive_distribution(
@@ -128,16 +116,13 @@ def predictive_distribution(
     fit: FitResult,
     sparse: SparseCoefficients | None = None,
     level: float = 0.95,
-    restricted: bool = True,
-    contiguous: bool = False,
 ) -> PredictiveDistribution:
-    """Enumerate the predictive pmf until only negligible mass remains."""
+    """Enumerate the predictive pmf until only negligible mass remains.
+
+    With `sparse` given, the coefficients it zeroes leave the linear predictor.
+    """
     x0 = np.asarray(x0, dtype=float)
-    mask = np.ones_like(x0)
-    if sparse is not None:
-        if fit.method is Method.BERNOULLI or restricted:
-            mask = sparse.p_binary
-    xm = x0 * mask
+    xm = x0 if sparse is None else x0 * sparse.p_binary
     m = float(xm @ fit.posterior.mean)
     s2 = float(xm @ fit.posterior.covariance @ xm)
     pmf_parts = []
@@ -166,7 +151,7 @@ def predictive_distribution(
         support_max=support_max,
         pmf=pmf,
         mode=mode,
-        hpd_set=_hpd_set(pmf, level, contiguous),
+        hpd_set=_hpd_set(pmf, level),
         tail_mass=tail_mass,
     )
 

@@ -9,6 +9,8 @@ import numpy as np
 from .core import Dataset, FitResult, Method
 from .special_math import log_gamma
 
+_GRID_SIZE = 50
+
 
 @dataclass(frozen=True)
 class SparseCoefficients:
@@ -35,11 +37,11 @@ def poisson_loglik(beta: np.ndarray, dataset: Dataset) -> float:
     return float(np.sum(y * eta - np.exp(eta) - log_gamma(y + 1.0)))
 
 
-def default_grid(mu: np.ndarray, size: int = 50) -> np.ndarray:
+def default_grid(mu: np.ndarray) -> np.ndarray:
     """Log-spaced threshold grid from 1e-4 up to the largest slope magnitude."""
     top = float(np.max(np.abs(mu[1:]))) if mu.shape[0] > 1 else 1e-4
     top = max(top, 1e-4)
-    return np.logspace(-4, np.log10(top), size)
+    return np.logspace(-4, np.log10(top), _GRID_SIZE)
 
 
 def _aic(loglik: float, df: int) -> float:

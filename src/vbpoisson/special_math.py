@@ -93,24 +93,21 @@ def _exp_e1(z):
 
 @dataclass(frozen=True)
 class GigParams:
-    """Parameters of generalized inverse Gaussian distributions.
+    """Parameters of order-1/2 generalized inverse Gaussian distributions.
 
-    Only order 1/2 is used in this package; `a` is the rate-like parameter
-    and `b` the inverse-scale-like one (density ~ x^{order-1} e^{-(ax+b/x)/2}).
-    Either may be an array; the two broadcast against each other.
+    `a` is the rate-like parameter and `b` the inverse-scale-like one
+    (density ~ x^{-1/2} e^{-(ax+b/x)/2}). Either may be an array; the two
+    broadcast against each other.
     """
 
     a: float | np.ndarray
     b: float | np.ndarray
-    order: float = 0.5
 
     def __post_init__(self):
         for name in ("a", "b"):
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.all((value > 0.0) & np.isfinite(value)):
                 raise ValueError(f"GigParams.{name} must be positive and finite")
-        if self.order != 0.5:
-            raise ValueError("only order 1/2 is supported")
 
 
 def gig_moments(p: GigParams):
@@ -161,25 +158,15 @@ def _adaptive(f, a, b, fa, fm, fb, whole, atol, depth):
 
 
 def integrate_1d(f, lower, upper, tol):
-    """Adaptive Simpson quadrature of a nonnegative function.
+    """Adaptive Simpson quadrature of a nonnegative function on a finite interval.
 
-    A semi-infinite upper bound is handled by the substitution
-    x = lower + t/(1-t) on t in [0, 1). The result carries relative error
-    of order `tol`; failure to converge raises IntegrationError with the
-    partial estimate attached.
+    The result carries relative error of order `tol`; failure to converge
+    raises IntegrationError with the partial estimate attached.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if math.isinf(upper):
-        lo = float(lower)
-
-        def g(t):
-            if t >= 1.0 - 1e-16:
-                return 0.0
-            one_m = 1.0 - t
-            return f(lo + t / one_m) / (one_m * one_m)
-
-        return _integrate_finite(g, 0.0, 1.0, tol)
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError("bounds must be finite")
     if not lower < upper:
         raise ValueError("lower must be below upper")
     return _integrate_finite(f, float(lower), float(upper), tol)

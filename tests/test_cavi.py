@@ -65,6 +65,7 @@ def test_stops_at_the_first_relative_change_below_epsilon():
     run = cavi.run(_start(), _DATA, hp, *_engine([-100.0, -50.0, -49.9, -49.89, -49.88]))
     fit = _result(run)
     assert run.converged and fit.converged
+    assert run.divergence is None and fit.divergence is None
     assert run.trace == [-100.0, -50.0, -49.9, -49.89]
     assert fit.iterations == len(fit.elbo_trace) == 4
     assert run.state.sweeps == 4
@@ -77,6 +78,7 @@ def test_stops_unconverged_at_max_iter():
     run = cavi.run(_start(), _DATA, hp, *_engine([-2.0**k for k in range(10, 0, -1)]))
     fit = _result(run)
     assert not run.converged and not fit.converged
+    assert run.divergence is None
     assert fit.iterations == len(run.trace) == 4
 
 
@@ -91,6 +93,9 @@ def test_later_divergence_returns_the_last_complete_state(how):
     start = _start()
     run = cavi.run(start, _DATA, Hyperparameters(), *_engine([-100.0, -50.0], **{how: 3}))
     assert not run.converged
+    reason = {"diverge_at": "scripted", "overflow_at": "linear predictor exceeded the overflow guard"}
+    assert run.divergence == reason[how]
+    assert _result(run).divergence == reason[how]
     assert run.trace == [-100.0, -50.0]
     assert run.state.sweeps == 2
     np.testing.assert_array_equal(run.state.posterior.mean, [0.5])
@@ -105,15 +110,32 @@ def test_non_finite_elbo_term_is_named():
     assert cavi.elbo({"a": -1.5, "b": 0.25}) == -1.25
 
 
-def test_laplace_diverges_after_eleven_iterations():
+def _diverging_dataset():
+    """n=20, p=8 counts up to e^12 on which the Laplace fit's xi overflows."""
     rng = np.random.default_rng(268)
     n, p = 20, 8
     x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.5, 3)])
     beta = rng.normal(0.0, 1.5, p)
     y = rng.poisson(np.exp(np.minimum(x @ beta, 12.0))).astype(float)
-    fit = fit_laplace(Dataset(x, y))
+    return Dataset(x, y)
+
+
+def test_laplace_diverges_after_eleven_iterations():
+    fit = fit_laplace(_diverging_dataset())
     assert fit.iterations == 11 and not fit.converged
     assert np.all(np.isfinite(fit.posterior.mean))
+
+
+@pytest.mark.parametrize(
+    "fit, reason",
+    [(fit_laplace, "overflow guard"), (fit_cs, None), (fit_bernoulli, None)],
+)
+def test_a_divergence_is_reported(fit, reason):
+    result = fit(_diverging_dataset())
+    if reason is None:
+        assert result.converged and result.divergence is None
+    else:
+        assert not result.converged and reason in result.divergence
 
 
 @pytest.mark.parametrize("fit", [fit_laplace, fit_cs, fit_bernoulli])

@@ -164,6 +164,66 @@ def test_simulate_custom_requires_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+_CUSTOM = {
+    "n": "50", "p": "5", "mu0": "0.6", "sigma0": "0.4", "mu_x": "0.1", "sigma2_x": "1.0",
+    "z_mask": "1,0,1,0,0",
+}
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("fit", {"epsilon": "abc"}, "'epsilon'"),
+        ("fit", {"c": "2"}, "c must lie in (0, 1)"),
+        ("simulate", _without(_CUSTOM, "sigma0"), "'sigma0'"),
+        ("simulate", {**_without(_CUSTOM, "z_mask"), "random_k": "9"}, "random_k must lie"),
+        ("simulate", {**_CUSTOM, "n": "abc"}, "'n'"),
+        ("simulate", None, "'foo'"),
+    ],
+    ids=["epsilon-abc", "c-2", "no-sigma0", "random_k-9", "n-abc", "methods-foo"],
+)
+def test_invalid_config_values_exit_two(tmp_path, data_csv, capsys, command, config, message):
+    argv = ["--out", str(tmp_path / "o.out")]
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    if command == "fit":
+        argv = ["fit", "--method", "laplace", "--data", data_csv, "--response", "y"] + argv
+    elif config is None:
+        argv = ["simulate", "--scenario", "low", "--methods", "foo"] + argv
+    else:
+        argv = ["simulate", "--scenario", "custom", "--replications", "1"] + argv
+    assert cli(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "o.out").exists()
+
+
+def test_fit_warns_when_a_divergence_ends_it(tmp_path, capsys):
+    rng = np.random.default_rng(268)
+    n, p = 20, 8
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.5, 3)])
+    y = rng.poisson(np.exp(np.minimum(x @ rng.normal(0.0, 1.5, p), 12.0)))
+    data = tmp_path / "diverging.csv"
+    data.write_text(
+        ",".join(f"x{j}" for j in range(1, p)) + ",y\n"
+        + "".join(",".join(repr(float(v)) for v in row[1:]) + f",{c}\n" for row, c in zip(x, y)),
+        encoding="utf-8",
+    )
+    for method, warned in (("laplace", True), ("cs", False)):
+        code = cli(["fit", "--method", method, "--data", str(data), "--response", "y",
+                    "--no-standardize", "--out", str(tmp_path / f"{method}.json")])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert ("overflow guard" in captured.err) is warned
+        assert ("converged=False" in captured.out) is warned
+
+
 def _linear_predictor(post, x):
     """Mean and variance of x @ beta for each row under a Gaussian posterior."""
     return x @ post.mean, np.einsum("ij,jk,ik->i", x, post.covariance, x)

@@ -8,7 +8,8 @@ from vbpoisson import cavi
 from vbpoisson.bernoulli import fit_bernoulli, init_bernoulli, omega_from_p
 from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.harness import LOW_DIM, generate
-from vbpoisson.laplace import fit_laplace, init_laplace
+from vbpoisson.laplace import fit_laplace, init_laplace, update_laplace
+from vbpoisson.special_math import GigParams, gig_moments
 from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
 
@@ -30,6 +31,19 @@ def test_laplace_init_expectations():
     assert state.e_a_inv == pytest.approx(hp.A)
     np.testing.assert_allclose(state.e_tau, np.ones(ds.p))
     assert np.all(np.isfinite(state.posterior.mean))
+
+
+def test_laplace_keeps_the_log_moment_of_its_last_scale_sweep():
+    ds, _ = _small_data()
+    hp = Hyperparameters()
+    state = init_laplace(ds, hp)
+    for _ in range(3):
+        state = update_laplace(state, ds, hp)
+        mu, sigma = state.posterior.mean, state.posterior.covariance
+        # the second-moment diagonal as the ELBO forms it
+        d_diag = np.diag(np.outer(mu, mu) + sigma)
+        _, _, fresh = gig_moments(GigParams(a=state.e_eta, b=d_diag[1:]))
+        np.testing.assert_array_equal(state.e_log_tau, fresh)
 
 
 def test_cs_init_probabilities():

@@ -8,7 +8,6 @@ from vbpoisson.harness import (
     HIGH_DIM,
     LOW_DIM,
     ScenarioConfig,
-    aicc,
     generate,
     metric_cre,
     metric_relative_error,
@@ -97,11 +96,6 @@ def test_selection_rates_and_empty_classes():
     assert np.isnan(fnr) and fpr == 0.0
     fnr, fpr = metric_selection(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     assert fnr == 0.0 and np.isnan(fpr)
-
-
-def test_small_sample_criterion():
-    assert aicc(-10.0, 2, 20) == pytest.approx(10.0 + 4.0 + 12.0 / 17.0)
-    assert aicc(-10.0, 5, 6) == np.inf
 
 
 def _tiny_config(reps=3, seed=17):

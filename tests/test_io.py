@@ -152,11 +152,6 @@ def test_bundle_excludes_wall_time_by_default(tmp_path):
         _sample_fit(), _sample_sparse(), np.zeros((2, 2)), Hyperparameters(), 0, ["a", "b"]
     )
     assert "wall_time_s" not in bundle["metadata"]
-    timed = result_bundle(
-        _sample_fit(), _sample_sparse(), np.zeros((2, 2)), Hyperparameters(), 0,
-        ["a", "b"], wall_time_s=1.5,
-    )
-    assert timed["metadata"]["wall_time_s"] == 1.5
 
 
 def test_save_bundle_is_byte_stable(tmp_path):

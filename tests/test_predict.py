@@ -92,14 +92,6 @@ def test_hpd_set_reaches_its_level():
         assert inside >= outside.max()
 
 
-def test_contiguous_hpd_is_an_interval():
-    fit = _fit([1.0], [[0.3]])
-    dist = predictive_distribution(np.array([1.0]), fit, level=0.9, contiguous=True)
-    idx = np.array(dist.hpd_set)
-    assert np.all(np.diff(idx) == 1)
-    assert float(dist.pmf[idx].sum()) >= 0.9
-
-
 def test_mean_property_matches_manual_sum():
     fit = _fit([0.2], [[0.1]])
     dist = predictive_distribution(np.array([1.0]), fit)
@@ -118,8 +110,8 @@ def test_restricted_prediction_uses_the_sparse_mask():
         p_binary=np.array([1.0, 0.0]),
     )
     x0 = np.array([1.0, 1.0])
-    restricted = predictive_distribution(x0, fit, sparse, restricted=True)
-    full = predictive_distribution(x0, fit, sparse, restricted=False)
+    restricted = predictive_distribution(x0, fit, sparse)
+    full = predictive_distribution(x0, fit)
     assert restricted.mean < full.mean
     masked_fit = _fit([0.5, 2.0], [[0.1, 0.0], [0.0, 0.1]])
     direct = predictive_distribution(np.array([1.0, 0.0]), masked_fit)

@@ -62,7 +62,7 @@ def test_threshold_search_matches_brute_force():
         ds = _dataset(seed=100 + trial, p=5)
         mu = rng.normal(0.0, 0.5, size=5)
         fit = _fit_from(mu)
-        grid = default_grid(mu, size=20)
+        grid = default_grid(mu)
         sparse = threshold_hard(fit, ds, grid=grid)
         best_aic = np.inf
         best_kappa = None

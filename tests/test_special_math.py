@@ -122,8 +122,9 @@ def test_gig_moments_satisfy_mean_inequality():
 
 
 def test_gig_rejects_unsupported_order():
-    with pytest.raises(ValueError):
-        gig_moments(GigParams(a=1.0, b=1.0, order=1.5))
+    # order 1/2 is the only one; there is no order to set
+    with pytest.raises(TypeError):
+        GigParams(a=1.0, b=1.0, order=1.5)
     with pytest.raises(ValueError):
         gig_moments(GigParams(a=-1.0, b=1.0))
 
@@ -170,12 +171,10 @@ def test_integrate_finite_intervals():
     assert poly == pytest.approx(8.0, rel=1e-9)
 
 
-def test_integrate_semi_infinite_intervals():
-    assert integrate_1d(lambda t: np.exp(-t), 0.0, np.inf, 1e-10) == pytest.approx(
-        1.0, rel=1e-8
-    )
-    gauss = integrate_1d(lambda t: np.exp(-0.5 * t * t), 0.0, np.inf, 1e-10)
-    assert gauss == pytest.approx(np.sqrt(np.pi / 2.0), rel=1e-8)
+def test_integrate_rejects_non_finite_bounds():
+    for lower, upper in [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            integrate_1d(lambda t: np.exp(-t), lower, upper, 1e-10)
 
 
 def test_integrate_rejects_reversed_interval():
