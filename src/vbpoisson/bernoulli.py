@@ -50,25 +50,22 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
     state = BernoulliState(
         posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
         p_incl=p_incl,
-        e_alpha=hp.a_vec(p) / hp.b_vec(p),
+        e_alpha=np.full(p, hp.a_gamma / hp.b_gamma),
         pi_p=p_incl,
         e_log_pi=e_log_pi,
         e_log_1mpi=e_log_1mpi,
         omega=omega_from_p(p_incl),
         quad=refresh(np.log1p(dataset.response), dataset),
     )
-    state.posterior, state.logdet_sigma = update_beta_bernoulli(state, dataset)
+    state.posterior, state.logdet_sigma = update_beta_bernoulli(state)
     state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def update_beta_bernoulli(
-    state: BernoulliState, dataset: Dataset
-) -> tuple[GaussianPosterior, float]:
+def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianPosterior, float]:
     """Gaussian coefficient factor under the masked design moments."""
     return gaussian_factor(
-        state.quad.s_x_xi * state.omega + np.diag(state.e_alpha),
-        state.p_incl * (dataset.design.T @ (dataset.response - state.quad.m_xi)),
+        state.quad.s_x_xi * state.omega + np.diag(state.e_alpha), state.p_incl * state.quad.score
     )
 
 
@@ -78,17 +75,14 @@ def update_alpha_bernoulli(state: BernoulliState, hp: Hyperparameters) -> np.nda
     d_diag = mu**2 + np.diag(sigma)
     if np.any(d_diag < 0.0):
         raise NumericalError("negative second-moment diagonal")
-    p = d_diag.shape[0]
-    return (hp.a_vec(p) + 0.5) / (hp.b_vec(p) + 0.5 * d_diag)
+    return (hp.a_gamma + 0.5) / (hp.b_gamma + 0.5 * d_diag)
 
 
-def update_gamma_bernoulli(state: BernoulliState, dataset: Dataset) -> np.ndarray:
+def update_gamma_bernoulli(state: BernoulliState) -> np.ndarray:
     """Sequential damped mask-probability sweep; each slope sees the freshest values."""
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_beta = np.outer(mu, mu) + sigma
-    s = state.quad.s_x_xi
-    resid = dataset.response - state.quad.m_xi
-    score = dataset.design.T @ resid
+    s, score = state.quad.s_x_xi, state.quad.score
     p_new = state.p_incl.copy()
     p_new[0] = 1.0
     for j in range(1, mu.shape[0]):
@@ -108,10 +102,10 @@ def update_bernoulli(
     state: BernoulliState, dataset: Dataset, hp: Hyperparameters
 ) -> BernoulliState:
     """One sweep at fixed xi: coefficients, precisions, Beta factors, then the mask."""
-    state.posterior, state.logdet_sigma = update_beta_bernoulli(state, dataset)
+    state.posterior, state.logdet_sigma = update_beta_bernoulli(state)
     state.e_alpha = update_alpha_bernoulli(state, hp)
     update_pi(state, hp)
-    state.p_incl = update_gamma_bernoulli(state, dataset)
+    state.p_incl = update_gamma_bernoulli(state)
     state.omega = omega_from_p(state.p_incl)
     return state
 
@@ -121,10 +115,8 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
-    p = dataset.p
-    a_vec, b_vec = hp.a_vec(p), hp.b_vec(p)
-    a_post = a_vec + 0.5
-    b_post = b_vec + 0.5 * d_diag
+    a_post = hp.a_gamma + 0.5
+    b_post = hp.b_gamma + 0.5 * d_diag
     e_log_alpha = digamma(a_post) - np.log(b_post)
     e_alpha = a_post / b_post
     resid = dataset.response - state.quad.m_xi
@@ -137,7 +129,7 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
         - float(np.sum(np.exp(xi) * (1.0 - xi + 0.5 * xi**2))),
         "beta_prior": 0.5 * float(np.sum(e_log_alpha)) - 0.5 * float(np.sum(d_diag * e_alpha)),
         "gamma_prior": gamma_prior,
-        "alpha_prior": float(np.sum((a_vec - 1.0) * e_log_alpha - b_vec * e_alpha)),
+        "alpha_prior": float(np.sum((hp.a_gamma - 1.0) * e_log_alpha - hp.b_gamma * e_alpha)),
         "pi_prior": pi_prior,
         "beta_entropy": 0.5 * state.logdet_sigma,
         "gamma_entropy": gamma_entropy,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -28,6 +28,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _level(text: str) -> float:
+    """An HPD level strictly between 0 and 1."""
+    level = float(text)
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return level
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vbpoisson", description="Variational Bayes for sparse Poisson regression")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -40,14 +48,14 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--threads", type=int, default=1,
                        help="accepted for interface compatibility; execution is serial")
-    p_fit.add_argument("--level", type=float, default=0.95)
+    p_fit.add_argument("--level", type=_level, default=0.95)
     p_fit.add_argument("--no-standardize", dest="standardize", action="store_false")
     p_fit.add_argument("--out", required=True)
 
     p_pred = sub.add_parser("predict", help="predict counts from a saved fit")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--level", type=float, default=0.95)
+    p_pred.add_argument("--level", type=_level, default=0.95)
     p_pred.add_argument("--out", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a seeded replication study")
@@ -81,11 +89,9 @@ def _standardize(dataset: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
 
 def _destandardize(fit: FitResult, center: np.ndarray, scale: np.ndarray) -> FitResult:
     """Map the posterior back to the original covariate scale."""
-    p = center.shape[0]
-    t = np.eye(p)
-    for j in range(1, p):
-        t[j, j] = 1.0 / scale[j]
-        t[0, j] = -center[j] / scale[j]
+    t = np.diag(1.0 / scale)
+    t[0, 1:] = -center[1:] / scale[1:]
+
     def _map(post: GaussianPosterior) -> GaussianPosterior:
         mean = t @ post.mean
         cov = t @ post.covariance @ t.T
@@ -108,17 +114,16 @@ def _cmd_fit(args) -> int:
         for d in fatal:
             print(f"invalid dataset: {d}", file=sys.stderr)
         return EXIT_NUMERICAL
+    for d in diags:
+        print(f"warning: {d}", file=sys.stderr)
     hp = Hyperparameters()
     if args.config:
         hp = _io.hyperparameters_from_config(_io.load_config(args.config))
-    work = dataset
-    center = np.zeros(dataset.p)
-    scale = np.ones(dataset.p)
     if args.standardize:
         work, center, scale = _standardize(dataset)
-    fit = FITTERS[Method(args.method)](work, hp)
-    if args.standardize:
-        fit = _destandardize(fit, center, scale)
+        fit = _destandardize(FITTERS[Method(args.method)](work, hp), center, scale)
+    else:
+        fit = FITTERS[Method(args.method)](dataset, hp)
     sparse = sparsify(fit, dataset)
     hpd = hpd_coefficients(fit.interval_posterior or fit.posterior, args.level)
     bundle = _io.result_bundle(fit, sparse, hpd, hp, args.seed, names)
@@ -199,15 +204,8 @@ def _cmd_simulate(args) -> int:
     _io.write_raw_table(result.raw, args.out)
     summary = {}
     for name, rep in result.reports.items():
-        summary[name] = {
-            "cre": rep.cre,
-            "trre": rep.trre,
-            "tsre": rep.tsre,
-            "fnr": rep.fnr,
-            "fpr": rep.fpr,
-            "coverage": rep.coverage.tolist(),
-            "failures": rep.failures,
-        }
+        summary[name] = _io.jsonable(asdict(rep))
+        del summary[name]["wall_time_s"]
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, sort_keys=True, indent=1)

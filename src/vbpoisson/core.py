@@ -75,35 +75,21 @@ class Hyperparameters:
     rho1: float = 1.0
     rho2: float = (1.0 - 0.3) / 0.3
     c: float = 0.001
-    a_gamma: float | np.ndarray = 0.01
-    b_gamma: float | np.ndarray = 0.01
+    a_gamma: float = 0.01
+    b_gamma: float = 0.01
     epsilon: float = 1e-6
     max_iter: int = 500
 
     def __post_init__(self):
-        for name in ("nu", "delta", "A", "rho1", "rho2", "c", "epsilon"):
+        for name in ("nu", "delta", "A", "rho1", "rho2", "c", "a_gamma", "b_gamma", "epsilon"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if not self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if not self.epsilon < 1.0:
             raise ValueError("epsilon must be below 1")
-        if not (np.all(np.asarray(self.a_gamma) > 0) and np.all(np.asarray(self.b_gamma) > 0)):
-            raise ValueError("a_gamma and b_gamma must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
-
-    def a_vec(self, p: int) -> np.ndarray:
-        return self._gamma_vec("a_gamma", p)
-
-    def b_vec(self, p: int) -> np.ndarray:
-        return self._gamma_vec("b_gamma", p)
-
-    def _gamma_vec(self, name: str, p: int) -> np.ndarray:
-        value = np.asarray(getattr(self, name), dtype=float)
-        if value.ndim > 1 or value.size not in (1, p):
-            raise ValueError(f"{name} has length {value.size}; expected 1 or p = {p}")
-        return np.broadcast_to(value.reshape(-1), (p,)).copy()
 
 
 def rho2_for_inclusion(p0: float) -> float:

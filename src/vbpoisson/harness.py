@@ -11,6 +11,7 @@ from .bernoulli import fit_bernoulli
 from .core import Dataset, FitResult, Hyperparameters, Method, rho2_for_inclusion
 from .errors import GenerationError, VbPoissonError
 from .laplace import fit_laplace
+from .likelihood import XI_OVERFLOW
 from .predict import hpd_coefficients, predictive_distribution
 from .sparsify import sparsify
 from .spike_slab import fit_cs
@@ -48,6 +49,8 @@ class ScenarioConfig:
             raise ValueError("random_k must lie in 1..p")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2 for a train/test split; got n = {self.n}")
 
 
 LOW_DIM = ScenarioConfig(
@@ -106,7 +109,7 @@ def generate(
         mask = _draw_mask(config, rng)
         beta = rng.normal(config.mu0, config.sigma0, size=config.p) * mask
         x = _draw_design(config, rng)
-        rates = np.exp(np.clip(x @ beta, None, 700.0))
+        rates = np.exp(np.clip(x @ beta, None, XI_OVERFLOW))
         if np.max(rates) > _RATE_CAP:
             continue
         y = rng.poisson(rates).astype(float)
@@ -185,29 +188,23 @@ def _predict_counts(rows: np.ndarray, fit: FitResult, sparse) -> np.ndarray:
 
 
 def run_study(
-    config: ScenarioConfig,
-    methods: tuple = (Method.LAPLACE, Method.CS, Method.BERNOULLI),
-    hp: Hyperparameters | None = None,
+    config: ScenarioConfig, methods: tuple = (Method.LAPLACE, Method.CS, Method.BERNOULLI)
 ) -> StudyResult:
     """Seeded replication loop; every replication is independently reseeded."""
     reports = {m: MetricsReport(coverage=np.zeros(config.p)) for m in methods}
-    acc = {
-        m: {"bh": [], "bt": [], "tr_p": [], "tr_a": [], "ts_p": [], "ts_a": [], "cov": [], "n": 0}
-        for m in methods
-    }
+    # one (beta_hat, beta_true, train predictions, train counts, test
+    # predictions, test counts, covered, fnr, fpr) record per completed fit
+    records = {m: [] for m in methods}
     raw = []
     for t in range(config.replications):
         rng = np.random.default_rng([config.seed, t])
         train, test, beta_true = generate(config, rng)
-        if hp is None:
-            p0 = float(np.count_nonzero(beta_true)) / config.p
-            hp_t = Hyperparameters(rho2=rho2_for_inclusion(p0))
-        else:
-            hp_t = hp
+        p0 = float(np.count_nonzero(beta_true)) / config.p
+        hp = Hyperparameters(rho2=rho2_for_inclusion(p0))
         for m in methods:
             t0 = time.perf_counter()
             try:
-                fit = FITTERS[m](train, hp_t)
+                fit = FITTERS[m](train, hp)
                 sparse = sparsify(fit, train)
                 yhat_tr = _predict_counts(train.design, fit, sparse)
                 yhat_ts = _predict_counts(test.design, fit, sparse)
@@ -221,16 +218,11 @@ def run_study(
                 continue
             finally:
                 reports[m].wall_time_s += time.perf_counter() - t0
-            a = acc[m]
-            a["bh"].append(sparse.beta_hat)
-            a["bt"].append(beta_true)
-            a["tr_p"].append(yhat_tr)
-            a["tr_a"].append(train.response)
-            a["ts_p"].append(yhat_ts)
-            a["ts_a"].append(test.response)
-            a["cov"].append(covered.astype(float))
-            a["n"] += 1
             fnr, fpr = metric_selection(sparse.beta_hat, beta_true)
+            records[m].append(
+                (sparse.beta_hat, beta_true, yhat_tr, train.response, yhat_ts, test.response,
+                 covered.astype(float), fnr, fpr)
+            )
             raw.append(
                 {
                     "rep": t,
@@ -247,20 +239,22 @@ def run_study(
                 }
             )
     for m in methods:
-        a = acc[m]
-        rep = reports[m]
-        if a["n"] == 0:
+        if not records[m]:
             continue
-        rep.cre = metric_cre(a["bh"], a["bt"])
-        rep.trre = _safe_re(a["tr_p"], a["tr_a"])
-        rep.tsre = _safe_re(a["ts_p"], a["ts_a"])
-        sel = [metric_selection(h, t_) for h, t_ in zip(a["bh"], a["bt"])]
-        fnrs = [s[0] for s in sel if not np.isnan(s[0])]
-        fprs = [s[1] for s in sel if not np.isnan(s[1])]
-        rep.fnr = float(np.mean(fnrs)) if fnrs else float("nan")
-        rep.fpr = float(np.mean(fprs)) if fprs else float("nan")
-        rep.coverage = np.mean(np.array(a["cov"]), axis=0)
+        bh, bt, tr_p, tr_a, ts_p, ts_a, cov, fnrs, fprs = zip(*records[m])
+        rep = reports[m]
+        rep.cre = metric_cre(bh, bt)
+        rep.trre = _safe_re(tr_p, tr_a)
+        rep.tsre = _safe_re(ts_p, ts_a)
+        rep.fnr = _nanmean(fnrs)
+        rep.fpr = _nanmean(fprs)
+        rep.coverage = np.mean(np.array(cov), axis=0)
     return StudyResult(reports={m.value: reports[m] for m in methods}, raw=raw)
+
+
+def _nanmean(values) -> float:
+    kept = [v for v in values if not np.isnan(v)]
+    return float(np.mean(kept)) if kept else float("nan")
 
 
 def _safe_re(preds, actuals) -> float:

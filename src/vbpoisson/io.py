@@ -98,15 +98,15 @@ def hyperparameters_from_config(cfg: dict) -> Hyperparameters:
         raise ParseError(f"invalid hyperparameter: {exc}") from None
 
 
-def _jsonable(obj):
+def jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     return obj
 
 
@@ -125,34 +125,34 @@ def result_bundle(
     meta = {
         "format_version": FORMAT_VERSION,
         "method": fit.method.value,
-        "hyperparameters": _jsonable(dataclasses.asdict(hp)),
+        "hyperparameters": jsonable(dataclasses.asdict(hp)),
         "seed": seed,
         "columns": list(column_names),
     }
     fit_block = {
-        "mean": _jsonable(fit.posterior.mean),
-        "covariance": _jsonable(fit.posterior.covariance),
-        "inclusion_prob": _jsonable(fit.inclusion_prob),
-        "hyper_expectations": _jsonable(fit.hyper_expectations),
-        "elbo_trace": _jsonable(fit.elbo_trace),
+        "mean": jsonable(fit.posterior.mean),
+        "covariance": jsonable(fit.posterior.covariance),
+        "inclusion_prob": jsonable(fit.inclusion_prob),
+        "hyper_expectations": jsonable(fit.hyper_expectations),
+        "elbo_trace": jsonable(fit.elbo_trace),
         "iterations": fit.iterations,
         "converged": fit.converged,
     }
     if fit.interval_posterior is not None:
-        fit_block["interval_mean"] = _jsonable(fit.interval_posterior.mean)
-        fit_block["interval_covariance"] = _jsonable(fit.interval_posterior.covariance)
+        fit_block["interval_mean"] = jsonable(fit.interval_posterior.mean)
+        fit_block["interval_covariance"] = jsonable(fit.interval_posterior.covariance)
     return {
         "metadata": meta,
         "fit": fit_block,
         "sparse": {
-            "beta_hat": _jsonable(sparse.beta_hat),
+            "beta_hat": jsonable(sparse.beta_hat),
             "support": list(sparse.support),
             "kappa": sparse.kappa,
             "aic": sparse.aic,
             "df": sparse.df,
-            "p_binary": _jsonable(sparse.p_binary),
+            "p_binary": jsonable(sparse.p_binary),
         },
-        "hpd": _jsonable(hpd),
+        "hpd": jsonable(hpd),
     }
 
 

@@ -51,17 +51,14 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
         e_a_inv=hp.A,
         quad=refresh(np.log1p(dataset.response), dataset),
     )
-    state.posterior, state.logdet_sigma = update_beta_laplace(state, dataset)
+    state.posterior, state.logdet_sigma = update_beta_laplace(state)
     state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def update_beta_laplace(state: LaplaceState, dataset: Dataset) -> tuple[GaussianPosterior, float]:
+def update_beta_laplace(state: LaplaceState) -> tuple[GaussianPosterior, float]:
     """Gaussian coefficient factor at fixed xi, with its log-determinant."""
-    return gaussian_factor(
-        state.quad.s_x_xi + np.diag(state.e_tau_inv),
-        dataset.design.T @ (dataset.response - state.quad.m_xi),
-    )
+    return gaussian_factor(state.quad.s_x_xi + np.diag(state.e_tau_inv), state.quad.score)
 
 
 def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceState:
@@ -84,7 +81,7 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
 
 def update_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
     """One sweep at fixed xi: the coefficients, then the scale hierarchy."""
-    state.posterior, state.logdet_sigma = update_beta_laplace(state, dataset)
+    state.posterior, state.logdet_sigma = update_beta_laplace(state)
     return update_hypers_laplace(state, hp)
 
 

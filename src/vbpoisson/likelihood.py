@@ -26,13 +26,15 @@ def quad_bound(x: float, xi: float) -> float:
 class QuadApprox:
     """Snapshot of the bound at expansion points xi.
 
-    m_xi holds e^xi (1 - xi) per observation and s_x_xi the exp-weighted
-    design cross-product sum(e^xi_i x_i x_i^T).
+    m_xi holds e^xi (1 - xi) per observation, s_x_xi the exp-weighted
+    design cross-product sum(e^xi_i x_i x_i^T) and score the surrogate's
+    linear term X^T (y - m_xi), which every engine's coefficient update reads.
     """
 
     xi: np.ndarray
     m_xi: np.ndarray
     s_x_xi: np.ndarray
+    score: np.ndarray
 
 
 def refresh(xi: np.ndarray, dataset: Dataset) -> QuadApprox:
@@ -47,7 +49,7 @@ def refresh(xi: np.ndarray, dataset: Dataset) -> QuadApprox:
     x = dataset.design
     s_x_xi = (x * w[:, None]).T @ x
     s_x_xi = 0.5 * (s_x_xi + s_x_xi.T)
-    return QuadApprox(xi=xi, m_xi=m_xi, s_x_xi=s_x_xi)
+    return QuadApprox(xi=xi, m_xi=m_xi, s_x_xi=s_x_xi, score=x.T @ (dataset.response - m_xi))
 
 
 def approx_loglik(q: QuadApprox, dataset: Dataset, mu: np.ndarray, d_beta: np.ndarray) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import Dataset, Hyperparameters, Method
 from .errors import TuningError
+from .likelihood import XI_OVERFLOW
 from .special_math import integrate_1d
 
 _ADAPT_WINDOW = 100
@@ -44,7 +45,7 @@ class Chain:
 
 
 def _poisson_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    if np.any(eta > 700.0):
+    if np.any(eta > XI_OVERFLOW):
         return -np.inf
     return float(y @ eta - np.sum(np.exp(eta)))
 
@@ -180,14 +181,14 @@ def sample(
     elif model is Method.BERNOULLI:
         gamma = np.ones(p)
         pi = np.full(p, 0.5)
-        alpha = hp.a_vec(p) / hp.b_vec(p)
+        alpha = hp.a_gamma / hp.b_gamma
 
         def log_target(b):
             return _poisson_loglik(x @ (gamma * b), y) - 0.5 * float(np.sum(alpha * b**2))
 
         def gibbs():
             nonlocal gamma, pi, alpha
-            alpha = rng.gamma(hp.a_vec(p) + 0.5) / (hp.b_vec(p) + 0.5 * beta**2)
+            alpha = rng.gamma(hp.a_gamma + 0.5, size=p) / (hp.b_gamma + 0.5 * beta**2)
             eta_cur = x @ (gamma * beta)
             ll_cur = _poisson_loglik(eta_cur, y)
             for j in range(1, p):

@@ -99,6 +99,11 @@ class PredictiveDistribution:
         return float(np.arange(self.support_max + 1) @ self.pmf)
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+
+
 def _hpd_set(pmf: np.ndarray, level: float) -> tuple:
     """The largest masses, taken in decreasing order until they reach the level."""
     total = 0.0
@@ -121,6 +126,7 @@ def predictive_distribution(
 
     With `sparse` given, the coefficients it zeroes leave the linear predictor.
     """
+    _check_level(level)
     x0 = np.asarray(x0, dtype=float)
     xm = x0 if sparse is None else x0 * sparse.p_binary
     m = float(xm @ fit.posterior.mean)
@@ -158,8 +164,7 @@ def predictive_distribution(
 
 def hpd_coefficients(posterior: GaussianPosterior, level: float = 0.95) -> np.ndarray:
     """Per-coordinate symmetric HPD intervals of the Gaussian marginals."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    _check_level(level)
     z = _st.norm.ppf(0.5 * (1.0 + level))
     sd = np.sqrt(np.diag(posterior.covariance))
     return np.column_stack([posterior.mean - z * sd, posterior.mean + z * sd])

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, FitResult, Method
+from .likelihood import XI_OVERFLOW
 from .special_math import log_gamma
 
 _GRID_SIZE = 50
@@ -31,7 +32,7 @@ def poisson_loglik(beta: np.ndarray, dataset: Dataset) -> float:
     comparison instead of crashing it.
     """
     eta = dataset.design @ np.asarray(beta, dtype=float)
-    if np.any(eta > 700.0):
+    if np.any(eta > XI_OVERFLOW):
         return -np.inf
     y = dataset.response
     return float(np.sum(y * eta - np.exp(eta) - log_gamma(y + 1.0)))
@@ -50,27 +51,31 @@ def _aic(loglik: float, df: int) -> float:
     return -loglik + 2.0 * df
 
 
-def threshold_bernoulli(fit: FitResult, dataset: Dataset | None = None) -> SparseCoefficients:
-    """Zero the slopes whose inclusion probability is not above one half."""
-    if fit.method is not Method.BERNOULLI:
-        raise ValueError("probability thresholding applies to the Bernoulli fit")
-    mu = fit.posterior.mean
-    keep = fit.inclusion_prob > 0.5
-    keep[0] = True
+def _sparse_record(
+    mu: np.ndarray, keep: np.ndarray, kappa: float, dataset: Dataset | None
+) -> SparseCoefficients:
+    """The coefficients `keep` selects, the intercept always among them, with
+    the criterion at `dataset` (nan without one)."""
+    keep = np.concatenate(([True], keep[1:]))
     beta_hat = np.where(keep, mu, 0.0)
     support = tuple(sorted(set(np.flatnonzero(beta_hat != 0.0).tolist()) | {0}))
     df = len(support)
-    aic = np.nan
-    if dataset is not None:
-        aic = _aic(poisson_loglik(beta_hat, dataset), df)
+    aic = np.nan if dataset is None else _aic(poisson_loglik(beta_hat, dataset), df)
     return SparseCoefficients(
         beta_hat=beta_hat,
         support=support,
-        kappa=0.0,
+        kappa=float(kappa),
         aic=float(aic),
         df=df,
         p_binary=keep.astype(float),
     )
+
+
+def threshold_bernoulli(fit: FitResult, dataset: Dataset | None = None) -> SparseCoefficients:
+    """Zero the slopes whose inclusion probability is not above one half."""
+    if fit.method is not Method.BERNOULLI:
+        raise ValueError("probability thresholding applies to the Bernoulli fit")
+    return _sparse_record(fit.posterior.mean, fit.inclusion_prob > 0.5, 0.0, dataset)
 
 
 def threshold_hard(
@@ -91,22 +96,9 @@ def threshold_hard(
         raise ValueError("threshold grid must be non-empty")
     best = None
     for kappa in np.sort(grid):
-        beta_hat = mu.copy()
-        beta_hat[1:] = np.where(np.abs(mu[1:]) <= kappa, 0.0, mu[1:])
-        support = tuple(sorted(set(np.flatnonzero(beta_hat != 0.0).tolist()) | {0}))
-        df = len(support)
-        aic = _aic(poisson_loglik(beta_hat, dataset), df)
-        if best is None or aic <= best.aic:
-            p_binary = (beta_hat != 0.0).astype(float)
-            p_binary[0] = 1.0
-            best = SparseCoefficients(
-                beta_hat=beta_hat,
-                support=support,
-                kappa=float(kappa),
-                aic=float(aic),
-                df=df,
-                p_binary=p_binary,
-            )
+        record = _sparse_record(mu, np.abs(mu) > kappa, kappa, dataset)
+        if best is None or record.aic <= best.aic:
+            best = record
     return best
 
 

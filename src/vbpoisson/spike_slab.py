@@ -59,20 +59,15 @@ def init_cs(dataset: Dataset, hp: Hyperparameters, p_start: float = 0.5) -> CsSt
         alpha_tau2=alpha,
         beta_tau2=alpha,
     )
-    state.posterior, state.logdet_sigma = update_beta_cs(state, dataset, hp)
+    state.posterior, state.logdet_sigma = update_beta_cs(state, hp)
     state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def update_beta_cs(
-    state: CsState, dataset: Dataset, hp: Hyperparameters
-) -> tuple[GaussianPosterior, float]:
+def update_beta_cs(state: CsState, hp: Hyperparameters) -> tuple[GaussianPosterior, float]:
     """Gaussian coefficient factor under the mixed spike/slab precision."""
     prior_prec = state.e_tau2_inv * (state.p_incl + (1.0 - state.p_incl) / hp.c)
-    return gaussian_factor(
-        state.quad.s_x_xi + np.diag(prior_prec),
-        dataset.design.T @ (dataset.response - state.quad.m_xi),
-    )
+    return gaussian_factor(state.quad.s_x_xi + np.diag(prior_prec), state.quad.score)
 
 
 def update_tau2_cs(state: CsState, hp: Hyperparameters) -> tuple[float, float, float]:
@@ -109,7 +104,7 @@ def update_z_cs(state: CsState, hp: Hyperparameters) -> np.ndarray:
 
 def update_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> CsState:
     """One sweep at fixed xi: coefficients, slab variance, Beta factors, indicators."""
-    state.posterior, state.logdet_sigma = update_beta_cs(state, dataset, hp)
+    state.posterior, state.logdet_sigma = update_beta_cs(state, hp)
     state.alpha_tau2, state.beta_tau2, state.e_tau2_inv = update_tau2_cs(state, hp)
     state.e_a_inv = 1.0 / (state.e_tau2_inv + 1.0 / hp.A)
     update_pi(state, hp)
@@ -178,8 +173,7 @@ def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     # coefficient posterior with every coefficient held in the slab, for
     # interval summaries that should not inherit spike commitment
     slab, _ = gaussian_factor(
-        state.quad.s_x_xi + state.e_tau2_inv * np.eye(dataset.p),
-        dataset.design.T @ (dataset.response - state.quad.m_xi),
+        state.quad.s_x_xi + state.e_tau2_inv * np.eye(dataset.p), state.quad.score
     )
     return best.fit_result(
         Method.CS,

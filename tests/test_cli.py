@@ -144,6 +144,11 @@ def test_simulate_writes_raw_and_summary(tmp_path, capsys):
     assert len(lines) == 3
     summary = json.load(open(sum_out, encoding="utf-8"))
     assert "laplace" in summary and len(summary["laplace"]["coverage"]) == 5
+    # the MetricsReport fields, without the run-dependent wall time
+    assert all(
+        sorted(row) == ["coverage", "cre", "failures", "fnr", "fpr", "trre", "tsre"]
+        for row in summary.values()
+    )
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -182,9 +187,10 @@ def _without(cfg, key):
         ("simulate", _without(_CUSTOM, "sigma0"), "'sigma0'"),
         ("simulate", {**_without(_CUSTOM, "z_mask"), "random_k": "9"}, "random_k must lie"),
         ("simulate", {**_CUSTOM, "n": "abc"}, "'n'"),
+        ("simulate", {**_CUSTOM, "n": "1", "p": "3", "z_mask": "1,0,1"}, "n must be at least 2"),
         ("simulate", None, "'foo'"),
     ],
-    ids=["epsilon-abc", "c-2", "no-sigma0", "random_k-9", "n-abc", "methods-foo"],
+    ids=["epsilon-abc", "c-2", "no-sigma0", "random_k-9", "n-abc", "n-1", "methods-foo"],
 )
 def test_invalid_config_values_exit_two(tmp_path, data_csv, capsys, command, config, message):
     argv = ["--out", str(tmp_path / "o.out")]
@@ -222,6 +228,43 @@ def test_fit_warns_when_a_divergence_ends_it(tmp_path, capsys):
         captured = capsys.readouterr()
         assert ("overflow guard" in captured.err) is warned
         assert ("converged=False" in captured.out) is warned
+
+
+@pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+def test_level_outside_the_unit_interval_exits_one(tmp_path, data_csv, capsys, level):
+    fit_out = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
+                "--out", str(fit_out)]) == EXIT_OK
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x2\n0.0,0.0\n", encoding="utf-8")
+    capsys.readouterr()
+    argvs = [
+        ["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
+         "--level", level, "--out", str(tmp_path / "bad_fit.json")],
+        ["predict", "--model", str(fit_out), "--data", str(new),
+         "--level", level, "--out", str(tmp_path / "bad_pred.json")],
+    ]
+    for argv in argvs:
+        assert cli(argv) == EXIT_USAGE
+        assert "--level" in capsys.readouterr().err
+    assert not (tmp_path / "bad_fit.json").exists() and not (tmp_path / "bad_pred.json").exists()
+
+
+def test_fit_warns_about_the_diagnostics_it_tolerates(tmp_path, data_csv, capsys):
+    out = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
+                "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    lines = open(data_csv, encoding="utf-8").read().splitlines()
+    constant = tmp_path / "constant.csv"
+    constant.write_text(
+        "\n".join([lines[0] + ",x3"] + [row + ",2.5" for row in lines[1:]]) + "\n",
+        encoding="utf-8",
+    )
+    code = cli(["fit", "--method", "laplace", "--data", str(constant), "--response", "y",
+                "--out", str(tmp_path / "constant.json")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == "warning: zero-variance column 3\n"
 
 
 def _linear_predictor(post, x):

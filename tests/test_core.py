@@ -79,22 +79,6 @@ def test_hyperparameter_validation():
         Hyperparameters(a_gamma=0.0)
 
 
-def test_hyperparameter_vector_broadcast():
-    hp = Hyperparameters(a_gamma=np.array([1.0, 2.0, 3.0]), b_gamma=0.5)
-    np.testing.assert_allclose(hp.a_vec(3), [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(hp.b_vec(3), [0.5, 0.5, 0.5])
-
-
-def test_hyperparameter_vector_length_is_checked():
-    hp = Hyperparameters(a_gamma=np.array([1.0, 2.0]), b_gamma=np.array([0.5]))
-    np.testing.assert_allclose(hp.b_vec(4), [0.5] * 4)
-    with pytest.raises(ValueError, match=r"a_gamma has length 2; expected 1 or p = 4"):
-        hp.a_vec(4)
-    hp = Hyperparameters(b_gamma=np.ones(5))
-    with pytest.raises(ValueError, match=r"b_gamma has length 5; expected 1 or p = 3"):
-        hp.b_vec(3)
-
-
 def test_inclusion_odds_helper():
     assert rho2_for_inclusion(0.5) == pytest.approx(1.0)
     assert rho2_for_inclusion(0.3) == pytest.approx(7.0 / 3.0)

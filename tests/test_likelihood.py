@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbpoisson.core import Dataset
 from vbpoisson.errors import DivergenceError
@@ -35,6 +37,17 @@ def test_refresh_builds_weighted_moments():
     expected = (x * np.exp(xi)[:, None]).T @ x
     np.testing.assert_allclose(q.s_x_xi, expected, rtol=1e-12)
     np.testing.assert_allclose(q.s_x_xi, q.s_x_xi.T, rtol=0, atol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), p=st.integers(1, 12))
+def test_refresh_score_is_the_surrogate_linear_term(seed, n, p):
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 5.0)])
+    y = rng.poisson(rng.uniform(0.0, 20.0), size=n).astype(float)
+    q = refresh(rng.normal(0.0, 3.0, n), Dataset(x, y))
+    # bit for bit: every engine's coefficient update reads this field
+    assert np.array_equal(q.score, x.T @ (y - q.m_xi))
 
 
 def test_refresh_rejects_overflowing_expansion():

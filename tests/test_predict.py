@@ -126,3 +126,12 @@ def test_coefficient_hpd_uses_the_gaussian_quantile():
     np.testing.assert_allclose(lo_hi[1], [-2.0 - 0.5 * z, -2.0 + 0.5 * z], rtol=1e-12)
     with pytest.raises(ValueError):
         hpd_coefficients(post, 1.0)
+
+
+@pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
+def test_predictive_level_outside_the_unit_interval_is_rejected(level):
+    post = GaussianPosterior(np.array([1.0]), np.array([[0.3]]))
+    with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+        predictive_distribution(np.array([1.0]), _fit([1.0], [[0.3]]), level=level)
+    with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+        hpd_coefficients(post, level)
