@@ -144,6 +144,10 @@ def _cmd_predict(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    bad = np.flatnonzero(~np.isfinite(covs).all(axis=1))
+    if bad.size:
+        print(f"error: non-finite covariate at data row {bad[0] + 1}", file=sys.stderr)
+        return EXIT_NUMERICAL
     rows = []
     for row in covs:
         dist = predictive_distribution(row, fit, sparse, level=args.level)

@@ -51,6 +51,10 @@ class ScenarioConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.n < 2:
             raise ValueError(f"n must be at least 2 for a train/test split; got n = {self.n}")
+        if self.replications < 1:
+            raise ValueError(f"replications must be at least 1; got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative; got {self.seed}")
 
 
 LOW_DIM = ScenarioConfig(

@@ -15,6 +15,7 @@ from .special_math import integrate_1d
 _ADAPT_WINDOW = 100
 _TARGET_LOW = 0.25
 _TARGET_HIGH = 0.40
+_STEP_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,6 @@ class McmcConfig:
     iterations: int = 10000
     burn_in: int = 5000
     thin: int = 10
-    step_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -30,8 +30,6 @@ class McmcConfig:
             raise ValueError("burn_in must be below iterations")
         if self.thin < 1:
             raise ValueError("thin must be at least 1")
-        if not self.step_scale > 0.0:
-            raise ValueError("step_scale must be positive")
 
 
 @dataclass
@@ -66,37 +64,6 @@ def _gig_half(rng: np.random.Generator, a: float, b: float) -> float:
     return 1.0 / x
 
 
-class _WalkState:
-    """Random-walk proposal with burn-in step adaptation."""
-
-    def __init__(self, p: int, step: float, proposal_cov: np.ndarray | None):
-        self.step = step
-        self.chol = np.linalg.cholesky(proposal_cov) if proposal_cov is not None else np.eye(p)
-        self.window_acc = 0
-        self.window_n = 0
-        self.post_acc = 0
-        self.post_n = 0
-
-    def propose(self, rng: np.random.Generator, beta: np.ndarray) -> np.ndarray:
-        return beta + self.step * (self.chol @ rng.standard_normal(beta.shape[0]))
-
-    def record(self, accepted: bool, adapting: bool):
-        if adapting:
-            self.window_acc += accepted
-            self.window_n += 1
-            if self.window_n == _ADAPT_WINDOW:
-                rate = self.window_acc / self.window_n
-                if rate < _TARGET_LOW:
-                    self.step *= 0.7
-                elif rate > _TARGET_HIGH:
-                    self.step *= 1.4
-                self.window_acc = 0
-                self.window_n = 0
-        else:
-            self.post_acc += accepted
-            self.post_n += 1
-
-
 def sample(
     model: Method,
     dataset: Dataset,
@@ -104,32 +71,46 @@ def sample(
     mc: McmcConfig | None = None,
     proposal_cov: np.ndarray | None = None,
 ) -> Chain:
-    """Run one chain targeting the exact posterior of the chosen model."""
+    """Run one chain targeting the exact posterior of the chosen model.
+
+    Each iteration is a random-walk Metropolis move on β, stepping by
+    `_STEP_SCALE` times the Cholesky factor of `proposal_cov` (the identity
+    without one) adapted per burn-in window (Roberts & Rosenthal, 2009), then
+    the model's Gibbs sweep, which returns whether it moved the mask `gamma`.
+    """
     hp = hp or Hyperparameters()
     mc = mc or McmcConfig()
     rng = np.random.default_rng(mc.seed)
     x, y, p = dataset.design, dataset.response, dataset.p
-    walk = _WalkState(p, mc.step_scale, proposal_cov)
+    chol = np.linalg.cholesky(proposal_cov) if proposal_cov is not None else np.eye(p)
+    step = _STEP_SCALE
     # start at a ridge regression on log1p counts; an all-zero start lets the
     # scale draws collapse toward zero and pin the walk there
     beta = np.linalg.solve(x.T @ x + np.eye(p), x.T @ np.log1p(y))
+    # only the Bernoulli sweep moves the mask off all ones; 1.0 * b is exact
+    gamma = np.ones(p)
+
+    def likelihood(b):
+        eta = x @ (gamma * b)
+        return eta, _poisson_loglik(eta, y)
 
     if model is Method.LAPLACE:
         tau = np.ones(p)
         eta = hp.nu / hp.delta
         a_var = hp.A
 
-        def log_target(b):
-            return _poisson_loglik(x @ b, y) - 0.5 * float(np.sum(b**2 / tau))
+        def log_prior(b):
+            return -0.5 * float(np.sum(b**2 / tau))
 
         def gibbs():
-            nonlocal tau, eta, a_var
+            nonlocal eta, a_var
             for j in range(1, p):
                 tau[j] = _gig_half(rng, eta, beta[j] ** 2)
             tau[0] = _inv_gamma(rng, 1.0, 0.5 * beta[0] ** 2 + 1.0 / a_var)
             rate = hp.delta + 0.5 * np.sum(tau[1:])
             eta = rng.gamma(p + hp.nu - 1.0) / rate
             a_var = _inv_gamma(rng, 1.0, 1.0 / tau[0] + 1.0 / hp.A)
+            return False
 
         def snapshot():
             return np.concatenate([beta, tau, [eta, a_var]])
@@ -142,16 +123,13 @@ def sample(
         tau2 = 1.0
         a_var = hp.A
 
-        def _prior_var(zv):
-            v = np.where(zv > 0.5, tau2, hp.c * tau2)
+        def log_prior(b):
+            v = np.where(z > 0.5, tau2, hp.c * tau2)
             v[0] = tau2
-            return v
-
-        def log_target(b):
-            return _poisson_loglik(x @ b, y) - 0.5 * float(np.sum(b**2 / _prior_var(z)))
+            return -0.5 * float(np.sum(b**2 / v))
 
         def gibbs():
-            nonlocal z, pi, tau2, a_var
+            nonlocal tau2, a_var
             for j in range(1, p):
                 # slab vs spike odds for the latent indicator
                 l1 = -0.5 * np.log(tau2) - 0.5 * beta[j] ** 2 / tau2 + np.log(pi[j])
@@ -168,42 +146,38 @@ def sample(
             rate = 1.0 / a_var + 0.5 * float(np.sum(beta**2 / scale))
             tau2 = _inv_gamma(rng, 0.5 + p / 2.0, rate)
             a_var = _inv_gamma(rng, 1.0, 1.0 / tau2 + 1.0 / hp.A)
+            return False
 
         def snapshot():
             return np.concatenate([beta, z[1:], [tau2, a_var]])
 
-        names = (
-            [f"beta{j}" for j in range(p)]
-            + [f"z{j}" for j in range(1, p)]
-            + ["tau2", "a"]
-        )
+        names = [f"beta{j}" for j in range(p)] + [f"z{j}" for j in range(1, p)] + ["tau2", "a"]
 
     elif model is Method.BERNOULLI:
-        gamma = np.ones(p)
         pi = np.full(p, 0.5)
         alpha = hp.a_gamma / hp.b_gamma
 
-        def log_target(b):
-            return _poisson_loglik(x @ (gamma * b), y) - 0.5 * float(np.sum(alpha * b**2))
+        def log_prior(b):
+            return -0.5 * float(np.sum(alpha * b**2))
 
         def gibbs():
-            nonlocal gamma, pi, alpha
+            nonlocal alpha
             alpha = rng.gamma(hp.a_gamma + 0.5, size=p) / (hp.b_gamma + 0.5 * beta**2)
-            eta_cur = x @ (gamma * beta)
-            ll_cur = _poisson_loglik(eta_cur, y)
+            # β has not moved since the loop last evaluated it, so the cached
+            # likelihood is one side of each flip; only the other side is new
+            eta_run, ll_run, flipped = cur_eta, cur_ll, False
             for j in range(1, p):
-                # the current linear predictor is one side of the flip; only
-                # the other side's likelihood is new
-                eta_flip = eta_cur + (1.0 - 2.0 * gamma[j]) * beta[j] * x[:, j]
+                eta_flip = eta_run + (1.0 - 2.0 * gamma[j]) * beta[j] * x[:, j]
                 ll_flip = _poisson_loglik(eta_flip, y)
-                ll_on, ll_off = (ll_cur, ll_flip) if gamma[j] > 0.5 else (ll_flip, ll_cur)
+                ll_on, ll_off = (ll_run, ll_flip) if gamma[j] > 0.5 else (ll_flip, ll_run)
                 delta = ll_on - ll_off + np.log(pi[j]) - np.log(1.0 - pi[j])
                 prob = 1.0 / (1.0 + np.exp(np.clip(-delta, -700, 700)))
                 new = float(rng.random() < prob)
                 if new != gamma[j]:
-                    eta_cur, ll_cur = eta_flip, ll_flip
+                    eta_run, ll_run, flipped = eta_flip, ll_flip, True
                 gamma[j] = new
                 pi[j] = rng.beta(hp.rho1 + gamma[j], hp.rho2 + 1.0 - gamma[j])
+            return flipped
 
         def snapshot():
             return np.concatenate([beta, gamma[1:]])
@@ -213,26 +187,37 @@ def sample(
     else:
         raise ValueError(f"unsupported model: {model}")
 
-    kept = []
-    cur_lp = log_target(beta)
+    kept, window_acc, post_acc = [], 0, 0
+    cur_eta, cur_ll = likelihood(beta)
+    cur_lp = cur_ll + log_prior(beta)
     for it in range(mc.iterations):
-        adapting = it < mc.burn_in
-        prop = walk.propose(rng, beta)
-        prop_lp = log_target(prop)
-        accepted = np.log(rng.random()) < prop_lp - cur_lp
+        prop = beta + step * (chol @ rng.standard_normal(p))
+        prop_eta, prop_ll = likelihood(prop)
+        accepted = bool(np.log(rng.random()) < prop_ll + log_prior(prop) - cur_lp)
         if accepted:
-            beta = prop
-            cur_lp = prop_lp
-        walk.record(bool(accepted), adapting)
-        gibbs()
-        cur_lp = log_target(beta)
+            beta, cur_eta, cur_ll = prop, prop_eta, prop_ll
+        if it >= mc.burn_in:
+            post_acc += accepted
+        else:
+            window_acc += accepted
+            if (it + 1) % _ADAPT_WINDOW == 0:
+                rate = window_acc / _ADAPT_WINDOW
+                if rate < _TARGET_LOW:
+                    step *= 0.7
+                elif rate > _TARGET_HIGH:
+                    step *= 1.4
+                window_acc = 0
+        # the sweep never moves β; a moved mask is evaluated afresh rather
+        # than taken from the sweep's running update, which rounds differently
+        if gibbs():
+            cur_eta, cur_ll = likelihood(beta)
+        cur_lp = cur_ll + log_prior(beta)
         if it >= mc.burn_in and (it - mc.burn_in) % mc.thin == 0:
             kept.append(snapshot())
-    if walk.post_n and walk.post_acc / walk.post_n < 0.01:
+    rate = post_acc / (mc.iterations - mc.burn_in)
+    if rate < 0.01:
         raise TuningError("post-adaptation acceptance rate below 1 percent")
-    draws = np.array(kept)
-    rate = walk.post_acc / walk.post_n if walk.post_n else 0.0
-    return Chain(draws=draws, param_names=names, acceptance_rate=float(rate))
+    return Chain(draws=np.array(kept), param_names=names, acceptance_rate=float(rate))
 
 
 def _kde(chain: np.ndarray, bandwidth: float):

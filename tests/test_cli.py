@@ -117,6 +117,21 @@ def test_predict_rejects_a_bundle_of_another_format_version(tmp_path, data_csv, 
     assert not pred_out.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_predict_rejects_a_non_finite_covariate(tmp_path, data_csv, capsys, cell):
+    out = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv,
+                "--response", "y", "--out", str(out)]) == EXIT_OK
+    new = tmp_path / "new.csv"
+    new.write_text(f"x1,x2\n0.0,0.0\n0.5,{cell}\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    capsys.readouterr()
+    code = cli(["predict", "--model", str(out), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_NUMERICAL
+    assert "error: non-finite covariate at data row 2" in capsys.readouterr().err
+    assert not pred_out.exists()
+
+
 def test_validate_clean_and_dirty(tmp_path, data_csv, capsys):
     assert cli(["validate", "--data", data_csv, "--response", "y"]) == EXIT_OK
     assert "valid" in capsys.readouterr().out
@@ -208,6 +223,20 @@ def test_invalid_config_values_exit_two(tmp_path, data_csv, capsys, command, con
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "o.out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--replications", "0", "replications"), ("--replications", "-2", "replications"),
+     ("--seed", "-1", "seed")],
+)
+def test_simulate_rejects_a_study_that_cannot_run(tmp_path, capsys, flag, value, field):
+    code = cli(["simulate", "--scenario", "low", "--replications", "1",
+                "--out", str(tmp_path / "o.csv"), flag, value])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid scenario config:") and field in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_fit_warns_when_a_divergence_ends_it(tmp_path, capsys):

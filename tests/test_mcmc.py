@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from vbpoisson import mcmc
 from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.mcmc import (
     Chain,
@@ -20,7 +21,8 @@ def test_config_validation():
         McmcConfig(iterations=100, burn_in=100)
     with pytest.raises(ValueError):
         McmcConfig(thin=0)
-    with pytest.raises(ValueError):
+    # the proposal scale is a module constant, not a setting
+    with pytest.raises(TypeError):
         McmcConfig(step_scale=0.0)
 
 
@@ -96,6 +98,38 @@ def test_sampler_is_deterministic_for_a_fixed_seed():
     b = sample(Method.LAPLACE, ds, Hyperparameters(), mc)
     np.testing.assert_array_equal(a.draws, b.draws)
     assert a.acceptance_rate == b.acceptance_rate
+
+
+def _count_likelihood_calls(monkeypatch):
+    calls = []
+    inner = mcmc._poisson_loglik
+
+    def counted(eta, y):
+        calls.append(1)
+        return inner(eta, y)
+
+    monkeypatch.setattr(mcmc, "_poisson_loglik", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", [Method.LAPLACE, Method.CS])
+def test_gibbs_sweep_reuses_the_cached_likelihood(monkeypatch, model):
+    # the sweep never moves beta, so each iteration evaluates only its proposal
+    ds, _ = _conjugate_dataset()
+    calls = _count_likelihood_calls(monkeypatch)
+    sample(model, ds, Hyperparameters(), McmcConfig(iterations=300, burn_in=100, seed=5))
+    assert len(calls) == 300 + 1
+
+
+def test_bernoulli_sweep_starts_from_the_cached_likelihood(monkeypatch):
+    # per iteration: the proposal, one flip per slope, and a fresh evaluation
+    # only when the mask moved
+    ds, _ = _conjugate_dataset()
+    calls = _count_likelihood_calls(monkeypatch)
+    n_iter = 300
+    mc = McmcConfig(iterations=n_iter, burn_in=100, seed=5)
+    sample(Method.BERNOULLI, ds, Hyperparameters(), mc)
+    assert n_iter * ds.p + 1 <= len(calls) <= 1 + n_iter * (ds.p + 1)
 
 
 def test_chain_column_lookup():
