@@ -31,7 +31,6 @@ from .mcmc import Chain, McmcConfig, accuracy, accuracy_discrete, sample
 from .predict import (
     PredictiveDistribution,
     hpd_coefficients,
-    ppmf_bernoulli,
     ppmf_gaussian,
     predictive_distribution,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "threshold_hard",
     "PredictiveDistribution",
     "ppmf_gaussian",
-    "ppmf_bernoulli",
     "predictive_distribution",
     "hpd_coefficients",
     "ScenarioConfig",

@@ -135,14 +135,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    fit, sparse, _bundle = _io.load_bundle(args.model)
-    covs, _names = _io.load_csv(args.data, response_column=None)
-    if covs.shape[1] != fit.posterior.mean.shape[0]:
-        print(
-            f"error: model expects {fit.posterior.mean.shape[0]} columns "
-            f"(incl. intercept), data has {covs.shape[1]}",
-            file=sys.stderr,
-        )
+    fit, sparse, bundle = _io.load_bundle(args.model)
+    covs, names = _io.load_csv(args.data, response_column=None)
+    expected = bundle["metadata"]["columns"]
+    if names != expected:
+        print(f"error: model expects columns {','.join(expected)}, data has {','.join(names)}",
+              file=sys.stderr)
         return EXIT_USAGE
     bad = np.flatnonzero(~np.isfinite(covs).all(axis=1))
     if bad.size:
@@ -204,6 +202,10 @@ def _cmd_simulate(args) -> int:
         methods = tuple(Method(m.strip()) for m in args.methods.split(",") if m.strip())
     except ValueError as exc:
         raise _io.ParseError(f"--methods: {exc}") from None
+    if not methods or len(set(methods)) < len(methods):
+        raise _io.ParseError(
+            f"--methods must list one or more methods, none twice; got {args.methods!r}"
+        )
     result = run_study(config, methods=methods)
     _io.write_raw_table(result.raw, args.out)
     summary = {}

@@ -82,8 +82,8 @@ class Hyperparameters:
 
     def __post_init__(self):
         for name in ("nu", "delta", "A", "rho1", "rho2", "c", "a_gamma", "b_gamma", "epsilon"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not self.c < 1.0:
             raise ValueError("c must lie in (0, 1)")
         if not self.epsilon < 1.0:

@@ -38,15 +38,24 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu0", "mu_x", "sigma0", "sigma2_x"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite; got {getattr(self, name)}")
+        for name in ("sigma0", "sigma2_x"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative; got {getattr(self, name)}")
+        # the study's prior inclusion fraction needs at least one inactive slope
         if self.z_mask is not None:
             mask = np.asarray(self.z_mask, dtype=float)
             if mask.shape[0] != self.p or mask[0] != 1.0:
                 raise ValueError("z_mask must have length p with entry 0 equal to 1")
+            if not np.all((mask == 0.0) | (mask == 1.0)) or not np.any(mask[1:] == 0.0):
+                raise ValueError("z_mask entries must be 0 or 1, with at least one slope at 0")
             object.__setattr__(self, "z_mask", mask)
         elif self.random_k is None:
             raise ValueError("either z_mask or random_k is required")
-        elif not 1 <= self.random_k <= self.p:
-            raise ValueError("random_k must lie in 1..p")
+        elif not 1 <= self.random_k <= self.p - 1:
+            raise ValueError(f"random_k must lie in 1..p-1 = 1..{self.p - 1}; got {self.random_k}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.n < 2:

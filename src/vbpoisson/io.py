@@ -144,14 +144,7 @@ def result_bundle(
     return {
         "metadata": meta,
         "fit": fit_block,
-        "sparse": {
-            "beta_hat": jsonable(sparse.beta_hat),
-            "support": list(sparse.support),
-            "kappa": sparse.kappa,
-            "aic": sparse.aic,
-            "df": sparse.df,
-            "p_binary": jsonable(sparse.p_binary),
-        },
+        "sparse": jsonable(dataclasses.asdict(sparse)),
         "hpd": jsonable(hpd),
     }
 
@@ -195,14 +188,8 @@ def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
         ),
     )
     sp = bundle["sparse"]
-    sparse = SparseCoefficients(
-        beta_hat=np.array(sp["beta_hat"]),
-        support=tuple(sp["support"]),
-        kappa=sp["kappa"],
-        aic=sp["aic"],
-        df=sp["df"],
-        p_binary=np.array(sp["p_binary"]),
-    )
+    arrays = {k: np.array(sp[k]) for k in ("beta_hat", "p_binary")}
+    sparse = SparseCoefficients(**{**sp, **arrays, "support": tuple(sp["support"])})
     return fit, sparse, bundle
 
 

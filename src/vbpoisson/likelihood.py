@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import Dataset
 from .errors import DivergenceError
+from .special_math import log_gamma
 
 XI_OVERFLOW = 700.0
 
@@ -50,6 +51,11 @@ def refresh(xi: np.ndarray, dataset: Dataset) -> QuadApprox:
     s_x_xi = (x * w[:, None]).T @ x
     s_x_xi = 0.5 * (s_x_xi + s_x_xi.T)
     return QuadApprox(xi=xi, m_xi=m_xi, s_x_xi=s_x_xi, score=x.T @ (dataset.response - m_xi))
+
+
+def poisson_logpmf(y: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
+    """Poisson log-pmf of the counts y at rates e^log_rate."""
+    return y * log_rate - np.exp(log_rate) - log_gamma(y + 1.0)
 
 
 def approx_loglik(q: QuadApprox, dataset: Dataset, mu: np.ndarray, d_beta: np.ndarray) -> float:

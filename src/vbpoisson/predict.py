@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import ndtri
 
 from .core import FitResult, GaussianPosterior
 from .errors import TruncationError
+from .likelihood import poisson_logpmf
 from .sparsify import SparseCoefficients
 from .special_math import log_gamma
 
@@ -23,12 +24,11 @@ _MASS_TARGET = 1.0 - 1e-6
 _ENUM_CAP = 10**6
 
 
-def _poisson_logpmf(y: np.ndarray, log_rate: float) -> np.ndarray:
-    return y * log_rate - np.exp(log_rate) - log_gamma(y + 1.0)
-
-
 def ppmf_gaussian(x0: np.ndarray, posterior: GaussianPosterior, y0: int) -> float:
-    """Predictive probability of the count y0 at covariate row x0."""
+    """Predictive probability of the count y0 at covariate row x0.
+
+    Under a sparse record's inclusion mask, pass x0 * p_binary.
+    """
     y0 = int(y0)
     if y0 < 0:
         raise ValueError("count must be nonnegative")
@@ -38,20 +38,10 @@ def ppmf_gaussian(x0: np.ndarray, posterior: GaussianPosterior, y0: int) -> floa
     return float(_pmf_batch(m, s2, np.array([y0]))[0])
 
 
-def ppmf_bernoulli(
-    x0: np.ndarray, posterior: GaussianPosterior, p_binary: np.ndarray, y0: int
-) -> float:
-    """Predictive probability under a binarized inclusion mask."""
-    p_binary = np.asarray(p_binary, dtype=float)
-    if not np.all(np.isin(p_binary, (0.0, 1.0))) or p_binary[0] != 1.0:
-        raise ValueError("mask must be 0/1 with the intercept included")
-    return ppmf_gaussian(np.asarray(x0, dtype=float) * p_binary, posterior, y0)
-
-
 def _pmf_batch(m: float, s2: float, ys: np.ndarray) -> np.ndarray:
     """Vectorized Simpson evaluation of the predictive pmf at many counts."""
     if s2 < _DEGENERATE_VAR:
-        return np.exp(_poisson_logpmf(ys.astype(float), m))
+        return np.exp(poisson_logpmf(ys.astype(float), m))
     s = np.sqrt(s2)
     lo, hi = m - _WINDOW_SD * s, m + _WINDOW_SD * s
     ymax = float(ys.max())
@@ -106,14 +96,9 @@ def _check_level(level: float) -> None:
 
 def _hpd_set(pmf: np.ndarray, level: float) -> tuple:
     """The largest masses, taken in decreasing order until they reach the level."""
-    total = 0.0
-    chosen = []
-    for idx in np.argsort(-pmf, kind="stable"):
-        chosen.append(int(idx))
-        total += pmf[idx]
-        if total >= level:
-            break
-    return tuple(sorted(chosen))
+    order = np.argsort(-pmf, kind="stable")
+    count = int(np.searchsorted(np.cumsum(pmf[order]), level)) + 1
+    return tuple(sorted(order[:count].tolist()))
 
 
 def predictive_distribution(
@@ -165,6 +150,6 @@ def predictive_distribution(
 def hpd_coefficients(posterior: GaussianPosterior, level: float = 0.95) -> np.ndarray:
     """Per-coordinate symmetric HPD intervals of the Gaussian marginals."""
     _check_level(level)
-    z = _st.norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     sd = np.sqrt(np.diag(posterior.covariance))
     return np.column_stack([posterior.mean - z * sd, posterior.mean + z * sd])

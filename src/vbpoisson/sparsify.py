@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, FitResult, Method
-from .likelihood import XI_OVERFLOW
-from .special_math import log_gamma
+from .likelihood import XI_OVERFLOW, poisson_logpmf
 
 _GRID_SIZE = 50
 
@@ -34,8 +33,7 @@ def poisson_loglik(beta: np.ndarray, dataset: Dataset) -> float:
     eta = dataset.design @ np.asarray(beta, dtype=float)
     if np.any(eta > XI_OVERFLOW):
         return -np.inf
-    y = dataset.response
-    return float(np.sum(y * eta - np.exp(eta) - log_gamma(y + 1.0)))
+    return float(np.sum(poisson_logpmf(dataset.response, eta)))
 
 
 def default_grid(mu: np.ndarray) -> np.ndarray:

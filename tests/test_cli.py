@@ -132,6 +132,22 @@ def test_predict_rejects_a_non_finite_covariate(tmp_path, data_csv, capsys, cell
     assert not pred_out.exists()
 
 
+@pytest.mark.parametrize("header", ["x2,x1", "a,b"], ids=["reordered", "renamed"])
+def test_predict_rejects_columns_other_than_the_training_ones(tmp_path, data_csv, capsys, header):
+    out = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv,
+                "--response", "y", "--out", str(out)]) == EXIT_OK
+    new = tmp_path / "new.csv"
+    new.write_text(f"{header}\n0.0,1.0\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    capsys.readouterr()
+    code = cli(["predict", "--model", str(out), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "x1,x2" in err and header in err
+    assert not pred_out.exists()
+
+
 def test_validate_clean_and_dirty(tmp_path, data_csv, capsys):
     assert cli(["validate", "--data", data_csv, "--response", "y"]) == EXIT_OK
     assert "valid" in capsys.readouterr().out
@@ -203,20 +219,37 @@ def _without(cfg, key):
         ("simulate", {**_without(_CUSTOM, "z_mask"), "random_k": "9"}, "random_k must lie"),
         ("simulate", {**_CUSTOM, "n": "abc"}, "'n'"),
         ("simulate", {**_CUSTOM, "n": "1", "p": "3", "z_mask": "1,0,1"}, "n must be at least 2"),
-        ("simulate", None, "'foo'"),
+        ("simulate", "foo", "'foo'"),
+        ("fit", {"nu": "inf"}, "nu must be positive and finite"),
+        ("fit", {"delta": "inf"}, "delta must be positive and finite"),
+        ("fit", {"A": "inf"}, "A must be positive and finite"),
+        ("fit", {"rho2": "inf"}, "rho2 must be positive and finite"),
+        ("simulate", {**_CUSTOM, "sigma0": "-1"}, "sigma0 must be non-negative"),
+        ("simulate", {**_CUSTOM, "sigma0": "inf"}, "sigma0 must be finite"),
+        ("simulate", {**_CUSTOM, "sigma2_x": "-1"}, "sigma2_x must be non-negative"),
+        ("simulate", {**_CUSTOM, "mu0": "nan"}, "mu0 must be finite"),
+        ("simulate", {**_CUSTOM, "mu_x": "inf"}, "mu_x must be finite"),
+        ("simulate", {**_CUSTOM, "z_mask": "1,1,1,1,1"}, "at least one slope at 0"),
+        ("simulate", {**_CUSTOM, "z_mask": "1,0,2,0,0"}, "z_mask entries must be 0 or 1"),
+        ("simulate", {**_without(_CUSTOM, "z_mask"), "random_k": "5"}, "random_k must lie"),
+        ("simulate", "", "--methods"),
+        ("simulate", "laplace,laplace", "--methods"),
     ],
-    ids=["epsilon-abc", "c-2", "no-sigma0", "random_k-9", "n-abc", "n-1", "methods-foo"],
+    ids=["epsilon-abc", "c-2", "no-sigma0", "random_k-9", "n-abc", "n-1", "methods-foo",
+         "nu-inf", "delta-inf", "A-inf", "rho2-inf", "sigma0-neg", "sigma0-inf", "sigma2_x-neg",
+         "mu0-nan", "mu_x-inf", "z_mask-full", "z_mask-2", "random_k-p", "methods-empty",
+         "methods-repeated"],
 )
 def test_invalid_config_values_exit_two(tmp_path, data_csv, capsys, command, config, message):
     argv = ["--out", str(tmp_path / "o.out")]
-    if config is not None:
+    if isinstance(config, dict):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
         argv += ["--config", str(cfg)]
     if command == "fit":
         argv = ["fit", "--method", "laplace", "--data", data_csv, "--response", "y"] + argv
-    elif config is None:
-        argv = ["simulate", "--scenario", "low", "--methods", "foo"] + argv
+    elif isinstance(config, str):
+        argv = ["simulate", "--scenario", "low", "--methods", config] + argv
     else:
         argv = ["simulate", "--scenario", "custom", "--replications", "1"] + argv
     assert cli(argv) == EXIT_NUMERICAL

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from vbpoisson.core import Dataset
 from vbpoisson.errors import DivergenceError
-from vbpoisson.likelihood import approx_loglik, quad_bound, refresh
+from vbpoisson.likelihood import approx_loglik, poisson_logpmf, quad_bound, refresh
 
 
 def test_bound_touches_exponential_at_expansion_point():
@@ -113,3 +114,12 @@ def test_expected_loglik_equals_the_matrix_product_trace():
             + y @ xmu
         )
         assert approx_loglik(q, ds, mu, d_beta) == pytest.approx(by_trace, rel=1e-12)
+
+
+def test_poisson_logpmf_matches_scipy():
+    y = np.arange(0.0, 200.0)
+    for log_rate in (-5.0, -0.3, 0.0, 1.7, 4.5):
+        np.testing.assert_allclose(
+            poisson_logpmf(y, log_rate), stats.poisson.logpmf(y, np.exp(log_rate)),
+            rtol=1e-12, atol=1e-12,
+        )

@@ -1,13 +1,20 @@
 """Predictive mass functions checked against independent quadrature."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import vbpoisson
 from vbpoisson.core import FitResult, GaussianPosterior, Method
 from vbpoisson.predict import (
+    _hpd_set,
     hpd_coefficients,
-    ppmf_bernoulli,
     ppmf_gaussian,
     predictive_distribution,
 )
@@ -62,17 +69,6 @@ def test_ppmf_rejects_negative_count():
         ppmf_gaussian(np.array([1.0]), post, -1)
 
 
-def test_masked_ppmf_validates_the_mask():
-    post = GaussianPosterior(np.zeros(2), np.eye(2))
-    x0 = np.array([1.0, 0.5])
-    with pytest.raises(ValueError):
-        ppmf_bernoulli(x0, post, np.array([1.0, 0.4]), 0)
-    with pytest.raises(ValueError):
-        ppmf_bernoulli(x0, post, np.array([0.0, 1.0]), 0)
-    masked = ppmf_bernoulli(x0, post, np.array([1.0, 0.0]), 0)
-    assert masked == pytest.approx(_trapezoid_ppmf(0.0, 1.0, 0), rel=1e-6)
-
-
 def test_predictive_distribution_normalizes():
     fit = _fit([0.5, 0.3], [[0.2, 0.05], [0.05, 0.1]])
     dist = predictive_distribution(np.array([1.0, 1.0]), fit)
@@ -90,6 +86,40 @@ def test_hpd_set_reaches_its_level():
     outside = np.delete(dist.pmf, list(dist.hpd_set))
     if outside.size:
         assert inside >= outside.max()
+
+
+def _greedy_hpd_set(pmf, level):
+    """Reference: add the largest remaining mass until the running total reaches the level."""
+    total = 0.0
+    chosen = []
+    for idx in np.argsort(-pmf, kind="stable"):
+        chosen.append(int(idx))
+        total += pmf[idx]
+        if total >= level:
+            break
+    return tuple(sorted(chosen))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 60),
+    distinct=st.integers(1, 8),
+    total=st.sampled_from([1.0, 0.999, 0.9, 0.5]),
+    level=st.floats(0.01, 0.999),
+    level_on_a_partial_sum=st.booleans(),
+)
+def test_hpd_set_equals_the_greedy_accumulation(
+    seed, size, distinct, total, level, level_on_a_partial_sum
+):
+    rng = np.random.default_rng(seed)
+    # few distinct values give ties; totals below one leave some levels out of reach
+    pmf = rng.choice(rng.uniform(0.0, 1.0, distinct), size=size)
+    pmf = total * pmf / pmf.sum()
+    if level_on_a_partial_sum:
+        # a running total that lands exactly on the level ends the set there
+        level = float(np.cumsum(np.sort(pmf)[::-1])[rng.integers(size)])
+    assert _hpd_set(pmf, level) == _greedy_hpd_set(pmf, level)
 
 
 def test_mean_property_matches_manual_sum():
@@ -126,6 +156,22 @@ def test_coefficient_hpd_uses_the_gaussian_quantile():
     np.testing.assert_allclose(lo_hi[1], [-2.0 - 0.5 * z, -2.0 + 0.5 * z], rtol=1e-12)
     with pytest.raises(ValueError):
         hpd_coefficients(post, 1.0)
+
+
+def test_coefficient_hpd_quantile_is_the_normal_quantile_bit_for_bit():
+    post = GaussianPosterior(np.zeros(1), np.ones((1, 1)))
+    levels = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), [0.5, 0.9, 0.95, 0.99, 0.999]])
+    for level in levels:
+        assert hpd_coefficients(post, level)[0, 1] == stats.norm.ppf(0.5 * (1.0 + level))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter, since this one has loaded scipy.stats for the references
+    src = os.path.dirname(os.path.dirname(vbpoisson.__file__))
+    code = "import sys, vbpoisson; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("level", [1.5, 0.0, float("nan")])
