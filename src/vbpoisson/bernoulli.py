@@ -10,7 +10,7 @@ from . import cavi
 from .cavi import damped_step, indicator_terms, pi_expectations, update_pi
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import NumericalError
-from .likelihood import QuadApprox, refresh
+from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
 from .special_math import digamma, log_gamma
 
@@ -119,14 +119,11 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
     b_post = hp.b_gamma + 0.5 * d_diag
     e_log_alpha = digamma(a_post) - np.log(b_post)
     e_alpha = a_post / b_post
-    resid = dataset.response - state.quad.m_xi
-    xi = state.quad.xi
-    masked_mean = dataset.design @ (state.p_incl * mu)
     gamma_prior, pi_prior, gamma_entropy, pi_entropy = indicator_terms(state, hp)
     return {
-        "likelihood": float(resid @ masked_mean)
-        - 0.5 * float(np.sum(d_beta * (state.quad.s_x_xi * state.omega)))
-        - float(np.sum(np.exp(xi) * (1.0 - xi + 0.5 * xi**2))),
+        "likelihood": approx_loglik(
+            state.quad, state.linear_coef, state.quad.s_x_xi * state.omega, d_beta
+        ),
         "beta_prior": 0.5 * float(np.sum(e_log_alpha)) - 0.5 * float(np.sum(d_diag * e_alpha)),
         "gamma_prior": gamma_prior,
         "alpha_prior": float(np.sum((hp.a_gamma - 1.0) * e_log_alpha - hp.b_gamma * e_alpha)),

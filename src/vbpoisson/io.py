@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -36,6 +37,9 @@ def load_csv(path: str, response_column: str | None):
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for h, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise ParseError(f"{path}: repeated column {', '.join(map(repr, repeated))}")
         rows = []
         for r, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):

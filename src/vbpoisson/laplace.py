@@ -106,7 +106,7 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     root = np.sqrt(state.e_eta * d_diag[1:])
 
     return {
-        "likelihood": approx_loglik(state.quad, dataset, mu, d_beta),
+        "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
         "beta_prior": -0.5 * (e_log_tau0 + np.sum(state.e_log_tau))
         - 0.5 * float(np.sum(state.e_tau_inv * d_diag)),
         "tau_prior": (p - 1) * (e_log_eta - np.log(2.0))

@@ -27,13 +27,12 @@ def quad_bound(x: float, xi: float) -> float:
 class QuadApprox:
     """Snapshot of the bound at expansion points xi.
 
-    m_xi holds e^xi (1 - xi) per observation, s_x_xi the exp-weighted
-    design cross-product sum(e^xi_i x_i x_i^T) and score the surrogate's
-    linear term X^T (y - m_xi), which every engine's coefficient update reads.
+    s_x_xi holds the exp-weighted design cross-product sum(e^xi_i x_i x_i^T)
+    and score the surrogate's linear term X^T (y - e^xi (1 - xi)), which every
+    engine's coefficient update and expected log-likelihood read.
     """
 
     xi: np.ndarray
-    m_xi: np.ndarray
     s_x_xi: np.ndarray
     score: np.ndarray
 
@@ -50,7 +49,7 @@ def refresh(xi: np.ndarray, dataset: Dataset) -> QuadApprox:
     x = dataset.design
     s_x_xi = (x * w[:, None]).T @ x
     s_x_xi = 0.5 * (s_x_xi + s_x_xi.T)
-    return QuadApprox(xi=xi, m_xi=m_xi, s_x_xi=s_x_xi, score=x.T @ (dataset.response - m_xi))
+    return QuadApprox(xi=xi, s_x_xi=s_x_xi, score=x.T @ (dataset.response - m_xi))
 
 
 def poisson_logpmf(y: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
@@ -58,16 +57,12 @@ def poisson_logpmf(y: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
     return y * log_rate - np.exp(log_rate) - log_gamma(y + 1.0)
 
 
-def approx_loglik(q: QuadApprox, dataset: Dataset, mu: np.ndarray, d_beta: np.ndarray) -> float:
-    """Expected surrogate log-likelihood, dropping the log y! constant."""
-    x, y = dataset.design, dataset.response
-    if mu.shape[0] != dataset.p or d_beta.shape != (dataset.p, dataset.p):
-        raise ValueError("coefficient dimensions do not match the design")
-    xmu = x @ mu
+def approx_loglik(q: QuadApprox, v: np.ndarray, s_x: np.ndarray, d_beta: np.ndarray) -> float:
+    """Expected surrogate log-likelihood at coefficient mean v and second moment
+    d_beta, with s_x the design cross-product they meet; drops the log y! constant."""
     return float(
-        -q.m_xi @ (1.0 + xmu)
-        - 0.5 * np.sum(q.xi**2 * np.exp(q.xi))
+        q.score @ v
         # both matrices are symmetric, so tr(S D) is their elementwise product sum
-        - 0.5 * np.vdot(q.s_x_xi, d_beta)
-        + y @ xmu
+        - 0.5 * np.vdot(s_x, d_beta)
+        - np.sum(np.exp(q.xi) * (1.0 - q.xi + 0.5 * q.xi**2))
     )

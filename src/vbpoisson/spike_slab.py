@@ -126,7 +126,7 @@ def elbo_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> dict:
     mix = state.p_incl + (1.0 - state.p_incl) / hp.c
     z_prior, pi_prior, z_entropy, pi_entropy = indicator_terms(state, hp)
     return {
-        "likelihood": approx_loglik(state.quad, dataset, mu, d_beta),
+        "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
         # the log tau^2 weight mirrors the (p-1)/2 shape the variance factor
         # is fitted with, keeping that update the term's exact maximizer
         "beta_prior": -0.5 * (p - 2) * e_log_tau2

@@ -148,6 +148,36 @@ def test_predict_rejects_columns_other_than_the_training_ones(tmp_path, data_csv
     assert not pred_out.exists()
 
 
+def test_fit_rejects_a_repeated_column_name(tmp_path, capsys):
+    # the second y would otherwise join the covariates beside the response
+    data = tmp_path / "dup.csv"
+    data.write_text("y,x,y\n1,0.5,2\n0,-0.5,1\n3,1.5,0\n", encoding="utf-8")
+    out = tmp_path / "fit.json"
+    code = cli(["fit", "--method", "laplace", "--data", str(data),
+                "--response", "y", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {data}: repeated column 'y'\n"
+    assert not out.exists()
+
+
+def test_predict_rejects_a_repeated_column_name(tmp_path, data_csv, capsys):
+    # a bundle whose training columns repeat a name, as earlier versions wrote
+    out = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv,
+                "--response", "y", "--out", str(out)]) == EXIT_OK
+    bundle = json.loads(out.read_text(encoding="utf-8"))
+    bundle["metadata"]["columns"] = ["(intercept)", "x1", "x1"]
+    out.write_text(json.dumps(bundle), encoding="utf-8")
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x1\n0.0,1.0\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    capsys.readouterr()
+    code = cli(["predict", "--model", str(out), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {new}: repeated column 'x1'\n"
+    assert not pred_out.exists()
+
+
 def test_validate_clean_and_dirty(tmp_path, data_csv, capsys):
     assert cli(["validate", "--data", data_csv, "--response", "y"]) == EXIT_OK
     assert "valid" in capsys.readouterr().out

@@ -34,7 +34,6 @@ def test_refresh_builds_weighted_moments():
     ds = Dataset(x, y)
     xi = rng.standard_normal(5)
     q = refresh(xi, ds)
-    np.testing.assert_allclose(q.m_xi, np.exp(xi) * (1.0 - xi), rtol=1e-12)
     expected = (x * np.exp(xi)[:, None]).T @ x
     np.testing.assert_allclose(q.s_x_xi, expected, rtol=1e-12)
     np.testing.assert_allclose(q.s_x_xi, q.s_x_xi.T, rtol=0, atol=0)
@@ -46,9 +45,10 @@ def test_refresh_score_is_the_surrogate_linear_term(seed, n, p):
     rng = np.random.default_rng(seed)
     x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 5.0)])
     y = rng.poisson(rng.uniform(0.0, 20.0), size=n).astype(float)
-    q = refresh(rng.normal(0.0, 3.0, n), Dataset(x, y))
+    xi = rng.normal(0.0, 3.0, n)
+    q = refresh(xi, Dataset(x, y))
     # bit for bit: every engine's coefficient update reads this field
-    assert np.array_equal(q.score, x.T @ (y - q.m_xi))
+    assert np.array_equal(q.score, x.T @ (y - np.exp(xi) * (1.0 - xi)))
 
 
 def test_refresh_rejects_overflowing_expansion():
@@ -64,7 +64,7 @@ def test_expected_loglik_single_zero_count():
     q = refresh(np.zeros(1), ds)
     mu = np.zeros(1)
     d = np.zeros((1, 1))
-    assert approx_loglik(q, ds, mu, d) == pytest.approx(-1.0, rel=1e-12)
+    assert approx_loglik(q, mu, q.s_x_xi, d) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_expected_loglik_matches_poisson_at_degenerate_posterior():
@@ -77,7 +77,7 @@ def test_expected_loglik_matches_poisson_at_degenerate_posterior():
     ds = Dataset(x, y)
     eta = x @ beta
     q = refresh(eta, ds)
-    val = approx_loglik(q, ds, beta, np.outer(beta, beta))
+    val = approx_loglik(q, beta, q.s_x_xi, np.outer(beta, beta))
     exact = float(y @ eta - np.sum(np.exp(eta)))
     assert val == pytest.approx(exact, rel=1e-10)
 
@@ -89,8 +89,8 @@ def test_expected_loglik_decreases_with_extra_variance():
     ds = Dataset(x, y)
     mu = np.array([0.1, 0.0, 0.0])
     q = refresh(x @ mu, ds)
-    tight = approx_loglik(q, ds, mu, np.outer(mu, mu))
-    loose = approx_loglik(q, ds, mu, np.outer(mu, mu) + 0.5 * np.eye(3))
+    tight = approx_loglik(q, mu, q.s_x_xi, np.outer(mu, mu))
+    loose = approx_loglik(q, mu, q.s_x_xi, np.outer(mu, mu) + 0.5 * np.eye(3))
     assert loose < tight
 
 
@@ -107,13 +107,48 @@ def test_expected_loglik_equals_the_matrix_product_trace():
         a = rng.standard_normal((p, p))
         d_beta = np.outer(mu, mu) + a @ a.T / p
         xmu = x @ mu
+        m_xi = np.exp(q.xi) * (1.0 - q.xi)
         by_trace = float(
-            -q.m_xi @ (1.0 + xmu)
+            -m_xi @ (1.0 + xmu)
             - 0.5 * np.sum(q.xi**2 * np.exp(q.xi))
             - 0.5 * np.trace(q.s_x_xi @ d_beta)
             + y @ xmu
         )
-        assert approx_loglik(q, ds, mu, d_beta) == pytest.approx(by_trace, rel=1e-12)
+        assert approx_loglik(q, mu, q.s_x_xi, d_beta) == pytest.approx(by_trace, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), p=st.integers(1, 15))
+def test_expected_loglik_matches_the_trace_and_masked_forms(seed, n, p):
+    # oracles built from X @ v: the trace form at the plain moments and the
+    # masked form at the Bernoulli mask's moments
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 3.0)])
+    y = rng.poisson(rng.uniform(0.0, 20.0), size=n).astype(float)
+    q = refresh(rng.normal(0.0, 2.0, n), Dataset(x, y))
+    m_xi = np.exp(q.xi) * (1.0 - q.xi)
+    mu = rng.normal(0.0, 2.0, p)
+    a = rng.standard_normal((p, p))
+    d_beta = np.outer(mu, mu) + a @ a.T / p + 1e-3 * np.eye(p)
+    xmu = x @ mu
+    by_trace = float(
+        -m_xi @ (1.0 + xmu)
+        - 0.5 * np.sum(q.xi**2 * np.exp(q.xi))
+        - 0.5 * np.trace(q.s_x_xi @ d_beta)
+        + y @ xmu
+    )
+    assert approx_loglik(q, mu, q.s_x_xi, d_beta) == pytest.approx(by_trace, rel=1e-12)
+    p_incl = rng.uniform(0.0, 1.0, p)
+    p_incl[rng.random(p) < 0.2] = rng.choice([0.0, 1.0])
+    omega = np.outer(p_incl, p_incl) + np.diag(p_incl * (1.0 - p_incl))
+    masked = float(
+        (y - m_xi) @ (x @ (p_incl * mu))
+        - 0.5 * np.sum(d_beta * (q.s_x_xi * omega))
+        - np.sum(np.exp(q.xi) * (1.0 - q.xi + 0.5 * q.xi**2))
+    )
+    assert approx_loglik(q, p_incl * mu, q.s_x_xi * omega, d_beta) == pytest.approx(
+        masked, rel=1e-12
+    )
 
 
 def test_poisson_logpmf_matches_scipy():

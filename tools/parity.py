@@ -1,0 +1,176 @@
+"""Parity probe: run a fixed set of fits and commands, then compare two runs.
+
+    python tools/parity.py --src ../parent/src --out old.json
+    python tools/parity.py --src src --out new.json
+    python tools/parity.py --compare old.json new.json --allow elbo_trace
+
+The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets;
+`fit` (3 methods, standardised or not) on two 2000x30 and two 150x4 CSVs, with
+`predict` on each bundle; `simulate` `low` (3 reps) and `high` (1 rep). The
+manifest holds every leaf of every FitResult, sparse record and bundle, and a
+sha256 of every other output file and of each command's exit code and streams.
+`--compare` prints the largest move per field and file, and exits 1 if any
+moved outside `--allow` (which matches a field name or its dotted suffix).
+"""
+
+import argparse
+import contextlib
+import csv
+import dataclasses
+import enum
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+
+def _record(fields, case, prefix, obj):
+    """Store each leaf of nested dicts and dataclasses as fields[dotted path][case]."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _record(fields, case, f"{prefix}.{k}", v)
+        return
+    value = repr(obj)  # compared for equality only
+    if not (obj is None or isinstance(obj, (str, enum.Enum))):
+        with contextlib.suppress(ValueError):  # a list of names stays a repr
+            value = np.asarray(obj, dtype=float).ravel().tolist()
+    fields.setdefault(prefix, {})[case] = value
+
+
+def _library_cases():
+    from vbpoisson import harness
+    from vbpoisson.core import Dataset, Hyperparameters, rho2_for_inclusion
+    for name, config in (("low", harness.LOW_DIM), ("high", harness.HIGH_DIM)):
+        for t in range(8):
+            train, _, beta = harness.generate(config, np.random.default_rng([2024, t]))
+            rho2 = rho2_for_inclusion(np.count_nonzero(beta) / config.p)
+            yield f"{name}{t}", train, Hyperparameters(rho2=rho2)
+    for s in range(30):  # the acceptance tests' ascent datasets
+        rng = np.random.default_rng([901, s])
+        x = np.column_stack([np.ones(60), rng.standard_normal((60, 7))])
+        beta = np.zeros(8)
+        beta[0] = 0.5
+        beta[[2, 5]] = rng.normal(0.7, 0.3, size=2)
+        y = rng.poisson(np.exp(np.clip(x @ beta, None, 6.0))).astype(float)
+        yield f"ascent{s}", Dataset(x, y), Hyperparameters()
+
+
+def _write_csv(path, rng, n, p, response=True):
+    x = 0.1 + rng.standard_normal((n, p))
+    y = rng.poisson(np.exp(1.0 + x @ np.where(np.arange(p) < max(1, p // 5), 0.3, 0.0)))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow((["y"] if response else []) + [f"x{j + 1}" for j in range(p)])
+        for yi, row in zip(y, x):
+            w.writerow(([int(yi)] if response else []) + [f"{v:.6g}" for v in row])
+
+
+def _cli(argv, fields, files):
+    """Run one command; record its exit code and streams, then its outputs."""
+    from vbpoisson.cli import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli(argv)
+    streams = f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+    files[" ".join(argv)] = hashlib.sha256(streams).hexdigest()
+    for path in (v for flag, v in zip(argv, argv[1:]) if flag in ("--out", "--summary-out")):
+        if not os.path.exists(path):
+            continue
+        if path.endswith(".bundle"):
+            with open(path, encoding="utf-8") as fh:
+                _record(fields, path, "bundle", json.load(fh))
+        else:
+            with open(path, "rb") as fh:
+                files[path] = hashlib.sha256(fh.read()).hexdigest()
+
+
+def _cli_cases(fields, files):
+    for k, (n, p) in enumerate(((2000, 30), (2000, 30), (150, 4), (150, 4))):
+        _write_csv(f"d{k}.csv", np.random.default_rng([7, k]), n, p)
+        _write_csv(f"h{k}.csv", np.random.default_rng([8, k]), 40, p, response=False)
+        for m in ("laplace", "cs", "bernoulli"):
+            for flags in ([], ["--no-standardize"]):
+                stem = f"d{k}-{m}{''.join(flags)}"
+                _cli(["fit", "--method", m, "--data", f"d{k}.csv", "--response", "y", *flags,
+                      "--out", f"{stem}.bundle"], fields, files)
+                _cli(["predict", "--model", f"{stem}.bundle", "--data", f"h{k}.csv",
+                      "--out", f"{stem}.pred"], fields, files)
+    for scen, reps in (("low", "3"), ("high", "1")):
+        _cli(["simulate", "--scenario", scen, "--replications", reps, "--seed", "0",
+              "--out", f"{scen}.raw", "--summary-out", f"{scen}.summary"], fields, files)
+
+
+def run(src):
+    sys.path.insert(0, os.path.abspath(src))
+    from vbpoisson import harness, sparsify
+    if not harness.__file__.startswith(os.path.abspath(src)):
+        raise SystemExit(f"imported vbpoisson from {harness.__file__}, not from {src}")
+    fields, files = {}, {}
+    for case, data, hp in _library_cases():
+        for method, fitter in harness.FITTERS.items():
+            fit = fitter(data, hp)
+            _record(fields, f"{case}.{method.value}", "result", fit)
+            _record(fields, f"{case}.{method.value}", "sparse", sparsify.sparsify(fit, data))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative paths keep the commands' output identical across runs
+        try:
+            _cli_cases(fields, files)
+        finally:
+            os.chdir(cwd)
+    return {"fields": fields, "files": files}
+
+
+def compare(a, b, allow):
+    bad = 0
+    for name in sorted(set(a["fields"]) | set(b["fields"])):
+        fa, fb = a["fields"].get(name, {}), b["fields"].get(name, {})
+        d_abs = d_rel = 0.0
+        for case in set(fa) | set(fb):
+            va, vb = fa.get(case), fb.get(case)
+            if isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb):
+                x, y = np.array(va, dtype=float), np.array(vb, dtype=float)
+                same = (x == y) | (np.isnan(x) & np.isnan(y))
+                diff = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
+                rel = diff / np.maximum(np.abs(x), np.finfo(float).tiny)
+                d_abs = max(d_abs, float(diff.max(initial=0.0)))
+                d_rel = max(d_rel, float(rel.max(initial=0.0)))
+            elif va != vb:
+                d_abs = d_rel = np.inf
+        bad += d_abs > 0 and not any(name == x or name.endswith("." + x) for x in allow)
+        print(f"{'MOVED' if d_abs > 0 else 'same '} {name}: abs {d_abs:.3g} rel {d_rel:.3g}")
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        moved = a["files"].get(name) != b["files"].get(name)
+        bad += moved
+        print(f"{'MOVED' if moved else 'same '} file {name}")
+    return 1 if bad else 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--src", help="source tree holding the vbpoisson package")
+    ap.add_argument("--out", help="manifest to write")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    ap.add_argument("--allow", action="append", default=[], help="field allowed to move")
+    args = ap.parse_args()
+    if args.compare:
+        manifests = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                manifests.append(json.load(fh))
+        return compare(*manifests, args.allow)
+    if not (args.src and args.out):
+        ap.error("--src and --out are required unless --compare is given")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(run(args.src), fh)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
