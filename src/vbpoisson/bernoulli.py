@@ -12,7 +12,7 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import digamma, log_gamma
+from .special_math import digamma, gamma_entropy
 
 
 def omega_from_p(p_incl: np.ndarray) -> np.ndarray:
@@ -22,11 +22,13 @@ def omega_from_p(p_incl: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BernoulliState:
-    """Variational state for the Bernoulli-Gaussian engine."""
+    """Variational state for the Bernoulli-Gaussian engine; rate_alpha holds the
+    rates of the Gamma precision factors (NaN until the first sweep)."""
 
     posterior: GaussianPosterior
     p_incl: np.ndarray
     e_alpha: np.ndarray
+    rate_alpha: np.ndarray
     pi_p: np.ndarray
     e_log_pi: np.ndarray
     e_log_1mpi: np.ndarray
@@ -51,6 +53,7 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
         posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
         p_incl=p_incl,
         e_alpha=np.full(p, hp.a_gamma / hp.b_gamma),
+        rate_alpha=np.full(p, np.nan),
         pi_p=p_incl,
         e_log_pi=e_log_pi,
         e_log_1mpi=e_log_1mpi,
@@ -69,13 +72,16 @@ def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianPosterior, flo
     )
 
 
-def update_alpha_bernoulli(state: BernoulliState, hp: Hyperparameters) -> np.ndarray:
-    """Gamma precision expectations from fresh second moments."""
+def update_alpha_bernoulli(
+    state: BernoulliState, hp: Hyperparameters
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and means of the Gamma precision factors from fresh second moments."""
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_diag = mu**2 + np.diag(sigma)
     if np.any(d_diag < 0.0):
         raise NumericalError("negative second-moment diagonal")
-    return (hp.a_gamma + 0.5) / (hp.b_gamma + 0.5 * d_diag)
+    rate = hp.b_gamma + 0.5 * d_diag
+    return rate, (hp.a_gamma + 0.5) / rate
 
 
 def update_gamma_bernoulli(state: BernoulliState) -> np.ndarray:
@@ -103,7 +109,7 @@ def update_bernoulli(
 ) -> BernoulliState:
     """One sweep at fixed xi: coefficients, precisions, Beta factors, then the mask."""
     state.posterior, state.logdet_sigma = update_beta_bernoulli(state)
-    state.e_alpha = update_alpha_bernoulli(state, hp)
+    state.rate_alpha, state.e_alpha = update_alpha_bernoulli(state, hp)
     update_pi(state, hp)
     state.p_incl = update_gamma_bernoulli(state)
     state.omega = omega_from_p(state.p_incl)
@@ -116,28 +122,19 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
     a_post = hp.a_gamma + 0.5
-    b_post = hp.b_gamma + 0.5 * d_diag
-    e_log_alpha = digamma(a_post) - np.log(b_post)
-    e_alpha = a_post / b_post
-    gamma_prior, pi_prior, gamma_entropy, pi_entropy = indicator_terms(state, hp)
+    e_log_alpha, e_alpha = digamma(a_post) - np.log(state.rate_alpha), state.e_alpha
+    mask_prior, pi_prior, mask_entropy, pi_entropy = indicator_terms(state, hp)
     return {
         "likelihood": approx_loglik(
             state.quad, state.linear_coef, state.quad.s_x_xi * state.omega, d_beta
         ),
         "beta_prior": 0.5 * float(np.sum(e_log_alpha)) - 0.5 * float(np.sum(d_diag * e_alpha)),
-        "gamma_prior": gamma_prior,
+        "gamma_prior": mask_prior,
         "alpha_prior": float(np.sum((hp.a_gamma - 1.0) * e_log_alpha - hp.b_gamma * e_alpha)),
         "pi_prior": pi_prior,
         "beta_entropy": 0.5 * state.logdet_sigma,
-        "gamma_entropy": gamma_entropy,
-        "alpha_entropy": float(
-            np.sum(
-                -a_post * np.log(b_post)
-                + log_gamma(a_post)
-                - (a_post - 1.0) * e_log_alpha
-                + b_post * e_alpha
-            )
-        ),
+        "gamma_entropy": mask_entropy,
+        "alpha_entropy": float(np.sum(gamma_entropy(a_post, state.rate_alpha))),
         "pi_entropy": pi_entropy,
     }
 

@@ -149,14 +149,8 @@ def _cmd_predict(args) -> int:
     rows = []
     for row in covs:
         dist = predictive_distribution(row, fit, sparse, level=args.level)
-        rows.append(
-            {
-                "mode": dist.mode,
-                "mean": dist.mean,
-                "hpd_set": list(int(v) for v in dist.hpd_set),
-                "tail_mass": dist.tail_mass,
-            }
-        )
+        rows.append({"mode": dist.mode, "mean": dist.mean, "tail_mass": dist.tail_mass,
+                     "hpd_set": [int(v) for v in dist.hpd_set]})
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"level": args.level, "predictions": rows}, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -160,40 +160,42 @@ def save_bundle(bundle: dict, path: str):
 
 
 def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
+    """Read a saved model; a file that is not a JSON bundle raises ParseError."""
     with open(path, encoding="utf-8") as fh:
-        bundle = json.load(fh)
+        try:
+            bundle = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not a JSON model bundle: {exc}") from None
     version = bundle.get("metadata", {}).get("format_version")
     if version != FORMAT_VERSION:
         found = "no format_version" if version is None else f"format_version {version!r}"
         raise FormatVersionError(
             f"{path}: bundle has {found}; this version reads format_version {FORMAT_VERSION!r}"
         )
-    fit_d = bundle["fit"]
-    fit = FitResult(
-        method=Method(bundle["metadata"]["method"]),
-        posterior=GaussianPosterior(
-            mean=np.array(fit_d["mean"]), covariance=np.array(fit_d["covariance"])
-        ),
-        inclusion_prob=np.array(fit_d["inclusion_prob"]),
-        hyper_expectations={
-            k: np.array(v) if isinstance(v, list) else v
-            for k, v in fit_d["hyper_expectations"].items()
-        },
-        elbo_trace=np.array(fit_d["elbo_trace"]),
-        iterations=fit_d["iterations"],
-        converged=fit_d["converged"],
-        interval_posterior=(
-            GaussianPosterior(
-                mean=np.array(fit_d["interval_mean"]),
-                covariance=np.array(fit_d["interval_covariance"]),
+    try:
+        fit_d, sp = bundle["fit"], bundle["sparse"]
+        interval = None
+        if "interval_mean" in fit_d:
+            interval = GaussianPosterior(
+                np.array(fit_d["interval_mean"]), np.array(fit_d["interval_covariance"])
             )
-            if "interval_mean" in fit_d
-            else None
-        ),
-    )
-    sp = bundle["sparse"]
-    arrays = {k: np.array(sp[k]) for k in ("beta_hat", "p_binary")}
-    sparse = SparseCoefficients(**{**sp, **arrays, "support": tuple(sp["support"])})
+        fit = FitResult(
+            method=Method(bundle["metadata"]["method"]),
+            posterior=GaussianPosterior(np.array(fit_d["mean"]), np.array(fit_d["covariance"])),
+            inclusion_prob=np.array(fit_d["inclusion_prob"]),
+            hyper_expectations={
+                k: np.array(v) if isinstance(v, list) else v
+                for k, v in fit_d["hyper_expectations"].items()
+            },
+            elbo_trace=np.array(fit_d["elbo_trace"]),
+            iterations=fit_d["iterations"],
+            converged=fit_d["converged"],
+            interval_posterior=interval,
+        )
+        arrays = {k: np.array(sp[k]) for k in ("beta_hat", "p_binary")}
+        sparse = SparseCoefficients(**{**sp, **arrays, "support": tuple(sp["support"])})
+    except KeyError as exc:
+        raise ParseError(f"{path}: model bundle has no {exc.args[0]!r} entry") from None
     return fit, sparse, bundle
 
 

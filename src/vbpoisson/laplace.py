@@ -11,7 +11,8 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import GigParams, digamma, gig_moments, log_bessel_k_half, log_gamma
+from .special_math import GigParams, digamma, gig_moments, log_bessel_k_half
+from .special_math import gamma_entropy, inv_gamma_entropy
 
 
 @dataclass
@@ -20,7 +21,9 @@ class LaplaceState:
 
     e_tau[0] is a placeholder (the intercept scale enters only through
     e_tau_inv[0]); slope entries hold E(tau_j) from the GIG factor, and
-    e_log_tau the slopes' E(log tau_j) from the same factor.
+    e_log_tau the slopes' E(log tau_j) from the same factor. The rates are those
+    of the Gamma factor of eta and the inverse-Gamma factors of tau_0 and a that
+    e_eta, e_tau_inv[0] and e_a_inv were derived from (NaN until the first sweep).
     """
 
     posterior: GaussianPosterior
@@ -31,6 +34,9 @@ class LaplaceState:
     e_a_inv: float
     quad: QuadApprox
     logdet_sigma: float = 0.0
+    rate_eta: float = np.nan
+    rate_tau0: float = np.nan
+    rate_a: float = np.nan
 
     @property
     def linear_coef(self) -> np.ndarray:
@@ -67,15 +73,17 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
     d_diag = mu**2 + np.diag(sigma)
     if np.any(d_diag <= 0.0):
         raise NumericalError("second-moment diagonal is not positive")
-    p = d_diag.shape[0]
-    e_eta = (p + hp.nu - 1.0) / (hp.delta + 0.5 * np.sum(state.e_tau[1:]))
+    rate_eta = hp.delta + 0.5 * np.sum(state.e_tau[1:])
+    e_eta = (d_diag.shape[0] + hp.nu - 1.0) / rate_eta
     e_tau = state.e_tau.copy()
     e_tau_inv = state.e_tau_inv.copy()
     e_tau[1:], e_tau_inv[1:], e_log_tau = gig_moments(GigParams(a=e_eta, b=d_diag[1:]))
-    e_tau_inv[0] = 1.0 / (0.5 * d_diag[0] + state.e_a_inv)
-    e_a_inv = 1.0 / (e_tau_inv[0] + 1.0 / hp.A)
+    rate_tau0 = 0.5 * d_diag[0] + state.e_a_inv
+    e_tau_inv[0] = 1.0 / rate_tau0
+    rate_a = e_tau_inv[0] + 1.0 / hp.A
     return replace(
-        state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_log_tau=e_log_tau, e_a_inv=e_a_inv
+        state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_log_tau=e_log_tau,
+        e_a_inv=1.0 / rate_a, rate_eta=rate_eta, rate_tau0=rate_tau0, rate_a=rate_a,
     )
 
 
@@ -96,13 +104,10 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
     p = dataset.p
-    b0 = 0.5 * d_diag[0] + state.e_a_inv
-    e_log_tau0 = np.log(b0) - digamma(1.0)
-    b_a = state.e_tau_inv[0] + 1.0 / hp.A
-    e_log_a = np.log(b_a) - digamma(1.0)
+    e_log_tau0 = np.log(state.rate_tau0) - digamma(1.0)
+    e_log_a = np.log(state.rate_a) - digamma(1.0)
     alpha_eta = p + hp.nu - 1.0
-    beta_eta = hp.delta + 0.5 * np.sum(state.e_tau[1:])
-    e_log_eta = digamma(alpha_eta) - np.log(beta_eta)
+    e_log_eta = digamma(alpha_eta) - np.log(state.rate_eta)
     root = np.sqrt(state.e_eta * d_diag[1:])
 
     return {
@@ -123,12 +128,9 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
                 + 0.5 * (state.e_eta * state.e_tau[1:] + d_diag[1:] * state.e_tau_inv[1:])
             )
         ),
-        "tau0_entropy": -np.log(b0) + 2.0 * e_log_tau0 + b0 * state.e_tau_inv[0],
-        "eta_entropy": -alpha_eta * np.log(beta_eta)
-        + log_gamma(alpha_eta)
-        - (alpha_eta - 1.0) * e_log_eta
-        + beta_eta * state.e_eta,
-        "a_entropy": -np.log(b_a) + 2.0 * e_log_a + b_a * state.e_a_inv,
+        "tau0_entropy": inv_gamma_entropy(1.0, state.rate_tau0),
+        "eta_entropy": gamma_entropy(alpha_eta, state.rate_eta),
+        "a_entropy": inv_gamma_entropy(1.0, state.rate_a),
     }
 
 

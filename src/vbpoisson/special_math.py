@@ -20,6 +20,8 @@ __all__ = [
     "GigParams",
     "digamma",
     "log_gamma",
+    "gamma_entropy",
+    "inv_gamma_entropy",
     "sigmoid",
     "bessel_k_half_ratio",
     "log_bessel_k_half",
@@ -47,6 +49,18 @@ def log_gamma(x):
     if np.any(np.asarray(x) <= 0.0):
         raise ValueError("log_gamma requires x > 0")
     return _sp.gammaln(x)
+
+
+def gamma_entropy(shape, rate):
+    """Entropy -E log q of Gamma(shape, rate) factors, from E log x and E x."""
+    e_log = digamma(shape) - np.log(rate)
+    return -shape * np.log(rate) + log_gamma(shape) - (shape - 1.0) * e_log + rate * (shape / rate)
+
+
+def inv_gamma_entropy(shape, rate):
+    """Entropy -E log q of inverse-Gamma(shape, rate) factors, from E log x and E 1/x."""
+    e_log = np.log(rate) - digamma(shape)
+    return -shape * np.log(rate) + log_gamma(shape) + (shape + 1.0) * e_log + rate * (shape / rate)
 
 
 def sigmoid(v):

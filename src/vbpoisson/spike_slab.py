@@ -12,12 +12,13 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import digamma, log_gamma
+from .special_math import digamma, inv_gamma_entropy
 
 
 @dataclass
 class CsState:
-    """Variational state for the spike-and-slab engine."""
+    """Variational state for the spike-and-slab engine; alpha_tau2 and beta_tau2
+    are the inverse-Gamma slab variance's shape and rate, and rate_a is a's rate."""
 
     posterior: GaussianPosterior
     p_incl: np.ndarray
@@ -29,6 +30,7 @@ class CsState:
     quad: QuadApprox
     alpha_tau2: float
     beta_tau2: float
+    rate_a: float
     logdet_sigma: float = 0.0
 
     @property
@@ -58,6 +60,7 @@ def init_cs(dataset: Dataset, hp: Hyperparameters, p_start: float = 0.5) -> CsSt
         quad=refresh(np.log1p(dataset.response), dataset),
         alpha_tau2=alpha,
         beta_tau2=alpha,
+        rate_a=1.0 / hp.A,
     )
     state.posterior, state.logdet_sigma = update_beta_cs(state, hp)
     state.quad = refresh(dataset.design @ state.linear_coef, dataset)
@@ -70,11 +73,10 @@ def update_beta_cs(state: CsState, hp: Hyperparameters) -> tuple[GaussianPosteri
     return gaussian_factor(state.quad.s_x_xi + np.diag(prior_prec), state.quad.score)
 
 
-def update_tau2_cs(state: CsState, hp: Hyperparameters) -> tuple[float, float, float]:
-    """Inverse-Gamma slab-variance factor from fresh second moments."""
+def update_tau2_cs(state: CsState, hp: Hyperparameters) -> tuple[float, float]:
+    """Rate and inverse mean of the slab-variance factor from fresh second moments."""
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_diag = mu**2 + np.diag(sigma)
-    alpha = max((state.p_incl.shape[0] - 1) / 2.0, 0.5)
     beta = (
         0.5 * np.sum(state.p_incl * d_diag)
         + np.sum((1.0 - state.p_incl) * d_diag) / (2.0 * hp.c)
@@ -82,7 +84,7 @@ def update_tau2_cs(state: CsState, hp: Hyperparameters) -> tuple[float, float, f
     )
     if not beta > 0.0:
         raise NumericalError("slab-variance rate is not positive")
-    return alpha, float(beta), float(alpha / beta)
+    return float(beta), float(state.alpha_tau2 / beta)
 
 
 def update_z_cs(state: CsState, hp: Hyperparameters) -> np.ndarray:
@@ -105,8 +107,9 @@ def update_z_cs(state: CsState, hp: Hyperparameters) -> np.ndarray:
 def update_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> CsState:
     """One sweep at fixed xi: coefficients, slab variance, Beta factors, indicators."""
     state.posterior, state.logdet_sigma = update_beta_cs(state, hp)
-    state.alpha_tau2, state.beta_tau2, state.e_tau2_inv = update_tau2_cs(state, hp)
-    state.e_a_inv = 1.0 / (state.e_tau2_inv + 1.0 / hp.A)
+    state.beta_tau2, state.e_tau2_inv = update_tau2_cs(state, hp)
+    state.rate_a = state.e_tau2_inv + 1.0 / hp.A
+    state.e_a_inv = 1.0 / state.rate_a
     update_pi(state, hp)
     state.p_incl = update_z_cs(state, hp)
     return state
@@ -121,8 +124,7 @@ def elbo_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> dict:
     e_t2i = state.e_tau2_inv
     e_log_tau2 = np.log(state.beta_tau2) - digamma(state.alpha_tau2)
     p = dataset.p
-    b_a = e_t2i + 1.0 / hp.A
-    e_log_a = np.log(b_a) - digamma(1.0)
+    e_log_a = np.log(state.rate_a) - digamma(1.0)
     mix = state.p_incl + (1.0 - state.p_incl) / hp.c
     z_prior, pi_prior, z_entropy, pi_entropy = indicator_terms(state, hp)
     return {
@@ -139,11 +141,8 @@ def elbo_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> dict:
         "beta_entropy": 0.5 * state.logdet_sigma,
         "z_entropy": z_entropy,
         "pi_entropy": pi_entropy,
-        "tau2_entropy": -state.alpha_tau2 * np.log(state.beta_tau2)
-        + log_gamma(state.alpha_tau2)
-        + (state.alpha_tau2 + 1.0) * e_log_tau2
-        + state.beta_tau2 * e_t2i,
-        "a_entropy": -np.log(b_a) + 2.0 * e_log_a + b_a * state.e_a_inv,
+        "tau2_entropy": inv_gamma_entropy(state.alpha_tau2, state.beta_tau2),
+        "a_entropy": inv_gamma_entropy(1.0, state.rate_a),
     }
 
 

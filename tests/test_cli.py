@@ -117,6 +117,26 @@ def test_predict_rejects_a_bundle_of_another_format_version(tmp_path, data_csv, 
     assert not pred_out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json {", "not a JSON model bundle"),
+        (json.dumps({"metadata": {"format_version": "1", "method": "cs"}}), "no 'fit' entry"),
+    ],
+)
+def test_predict_rejects_a_malformed_bundle(tmp_path, capsys, text, message):
+    model = tmp_path / "bad.bundle"
+    model.write_text(text, encoding="utf-8")
+    new = tmp_path / "new.csv"
+    new.write_text("x1\n0.0\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    code = cli(["predict", "--model", str(model), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model) in err and message in err
+    assert not pred_out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_predict_rejects_a_non_finite_covariate(tmp_path, data_csv, capsys, cell):
     out = tmp_path / "fit.json"

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
-from scipy import optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, stats
 
 from vbpoisson import cavi
-from vbpoisson.bernoulli import fit_bernoulli, init_bernoulli, omega_from_p
+from vbpoisson.bernoulli import (
+    elbo_bernoulli, fit_bernoulli, init_bernoulli, omega_from_p, update_bernoulli,
+)
 from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.harness import LOW_DIM, generate
-from vbpoisson.laplace import fit_laplace, init_laplace, update_laplace
+from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_laplace
+from vbpoisson.likelihood import refresh
 from vbpoisson.special_math import GigParams, gig_moments
 from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
@@ -149,3 +154,55 @@ def test_engines_are_deterministic():
         b = fitter(ds)
         np.testing.assert_array_equal(a.posterior.mean, b.posterior.mean)
         np.testing.assert_array_equal(a.elbo_trace, b.elbo_trace)
+
+
+def _implied_entropies(method, state, hp, p):
+    """scipy.stats entropies of the Gamma and inverse-Gamma factors whose means
+    (or inverse means) the state stores, keyed by their ELBO term."""
+    if method == "laplace":
+        shape = p + hp.nu - 1.0
+        return {
+            "eta_entropy": stats.gamma(shape, scale=state.e_eta / shape).entropy(),
+            "tau0_entropy": stats.invgamma(1.0, scale=1.0 / state.e_tau_inv[0]).entropy(),
+            "a_entropy": stats.invgamma(1.0, scale=1.0 / state.e_a_inv).entropy(),
+        }
+    if method == "cs":
+        shape = state.alpha_tau2
+        return {
+            "tau2_entropy": stats.invgamma(shape, scale=shape / state.e_tau2_inv).entropy(),
+            "a_entropy": stats.invgamma(1.0, scale=1.0 / state.e_a_inv).entropy(),
+        }
+    shape = hp.a_gamma + 0.5
+    return {"alpha_entropy": np.sum(stats.gamma(shape, scale=state.e_alpha / shape).entropy())}
+
+
+_SWEEPS = {
+    "laplace": (init_laplace, update_laplace, elbo_laplace),
+    "cs": (init_cs, update_cs, elbo_cs),
+    "bernoulli": (init_bernoulli, update_bernoulli, elbo_bernoulli),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 60),
+    p=st.integers(2, 8),
+    sweeps=st.integers(1, 6),
+)
+def test_elbo_entropies_are_those_of_the_stored_factors(seed, n, p, sweeps):
+    """Each Gamma or inverse-Gamma entropy in the bound is the entropy of the
+    factor the update fitted, the one its stored expectation came from."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    beta = np.concatenate([[rng.uniform(-0.5, 1.5)], rng.normal(0.0, 0.5, p - 1)])
+    ds = Dataset(x, rng.poisson(np.exp(np.minimum(x @ beta, 5.0))).astype(float))
+    hp = Hyperparameters()
+    for method, (init, update, elbo_terms) in _SWEEPS.items():
+        state = init(ds, hp)
+        for _ in range(sweeps):
+            state = update(state, ds, hp)
+            state.quad = refresh(ds.design @ state.linear_coef, ds)
+        terms = elbo_terms(state, ds, hp)
+        for name, want in _implied_entropies(method, state, hp, p).items():
+            assert terms[name] == pytest.approx(want, rel=1e-12, abs=1e-12), (method, name)

@@ -1,0 +1,110 @@
+"""`tools/parity.py --compare`: which moves `--allow` permits, and the exit code."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "parity", Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+)
+parity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(parity)
+
+_FIT = "fit --method laplace --data d0.csv --response y --out d0-laplace.bundle"
+_BASE = {
+    "fields": {
+        "result.elbo_trace": {"low0.laplace": [-10.0, -9.0], "low0.cs": [-11.0, -10.5]},
+        "result.hyper_expectations.e_tau_inv": {"low0.laplace": [1.0, 2.0]},
+        "simulate.tsre": {"low.laplace.0": [0.1], "high.laplace.0": [0.2]},
+        "result.method": {"low0.laplace": "<Method.LAPLACE: 'laplace'>"},
+    },
+    "files": {"d0-laplace.pred": "aa", "d0-cs.pred": "bb", _FIT: "cc", "low.summary": "dd"},
+}
+
+
+def _moved(*fields, files=()):
+    """A copy of the base manifest with the named (field, case) values and files changed."""
+    out = copy.deepcopy(_BASE)
+    for name, case in fields:
+        value = out["fields"][name][case]
+        out["fields"][name][case] = [v + 1e-9 for v in value] if isinstance(value, list) else "x"
+    for key in files:
+        out["files"][key] += "!"
+    return out
+
+
+def _exit(tmp_path, a, b, *allow):
+    paths = []
+    for tag, manifest in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{tag}.json")
+        paths[-1].write_text(json.dumps(manifest), encoding="utf-8")
+    argv = ["--compare", *map(str, paths)]
+    for rule in allow:
+        argv += ["--allow", rule]
+    return parity.main(argv)
+
+
+def test_identical_manifests_exit_zero(tmp_path, capsys):
+    assert _exit(tmp_path, _BASE, copy.deepcopy(_BASE)) == 0
+    assert "MOVED" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "allow, code",
+    [
+        ((), 1),
+        (("elbo_trace",), 0),
+        (("result.elbo_trace",), 0),
+        (("trace",), 1),  # a dotted suffix, not any tail of the name
+        (("e_tau_inv",), 1),
+    ],
+)
+def test_a_plain_allow_matches_a_field_or_its_dotted_suffix(tmp_path, allow, code):
+    b = _moved(("result.elbo_trace", "low0.laplace"), ("result.elbo_trace", "low0.cs"))
+    assert _exit(tmp_path, _BASE, b, *allow) == code
+
+
+@pytest.mark.parametrize(
+    "moved, allow, code",
+    [
+        ([("result.elbo_trace", "low0.laplace")], "elbo_trace@laplace", 0),
+        ([("result.elbo_trace", "low0.cs")], "elbo_trace@laplace", 1),
+        ([("result.elbo_trace", "low0.laplace"), ("result.elbo_trace", "low0.cs")],
+         "elbo_trace@laplace", 1),
+        ([("simulate.tsre", "low.laplace.0")], "tsre@low.laplace", 0),
+        ([("simulate.tsre", "high.laplace.0")], "tsre@low.laplace", 1),
+        ([("result.method", "low0.laplace")], "method@laplace", 0),
+    ],
+)
+def test_a_scoped_allow_covers_only_the_cases_that_contain_its_text(tmp_path, moved, allow, code):
+    assert _exit(tmp_path, _BASE, _moved(*moved), allow) == code
+
+
+def test_a_move_outside_the_scope_is_named(tmp_path, capsys):
+    b = _moved(("result.elbo_trace", "low0.laplace"), ("result.elbo_trace", "low0.cs"))
+    assert _exit(tmp_path, _BASE, b, "elbo_trace@laplace") == 1
+    line = next(x for x in capsys.readouterr().out.splitlines() if "elbo_trace" in x)
+    assert line.startswith("MOVED") and line.endswith("NOT ALLOWED in low0.cs")
+
+
+@pytest.mark.parametrize(
+    "files, allow, code",
+    [
+        (["d0-laplace.pred"], (), 1),
+        (["d0-laplace.pred"], ("pred",), 0),
+        (["d0-laplace.pred"], ("d0-laplace.pred",), 0),
+        (["d0-laplace.pred", "d0-cs.pred"], ("pred@laplace",), 1),
+        (["d0-laplace.pred", "d0-cs.pred"], ("pred@laplace", "pred@cs"), 0),
+        ([_FIT], ("fit@laplace",), 0),
+        ([_FIT], ("fit@bernoulli",), 1),
+        ([_FIT], ("fit@cs",), 0),  # TEXT is a plain substring, and d0.csv holds "cs"
+        ([_FIT], ("bundle",), 1),  # the streams match by command, not by their --out
+        (["low.summary"], ("summary@low",), 0),
+        (["low.summary"], ("elbo_trace",), 1),
+    ],
+)
+def test_an_allow_matches_a_file_by_key_extension_or_command(tmp_path, files, allow, code):
+    assert _exit(tmp_path, _BASE, _moved(files=files), *allow) == code

@@ -2,15 +2,21 @@
 
     python tools/parity.py --src ../parent/src --out old.json
     python tools/parity.py --src src --out new.json
-    python tools/parity.py --compare old.json new.json --allow elbo_trace
+    python tools/parity.py --compare old.json new.json --allow elbo_trace@laplace
 
 The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets;
 `fit` (3 methods, standardised or not) on two 2000x30 and two 150x4 CSVs, with
 `predict` on each bundle; `simulate` `low` (3 reps) and `high` (1 rep). The
-manifest holds every leaf of every FitResult, sparse record and bundle, and a
-sha256 of every other output file and of each command's exit code and streams.
+manifest holds every leaf of every FitResult, sparse record and bundle, and
+every cell of the `simulate` raw tables, each keyed by its case (`low0.cs`,
+`d1-laplace.bundle`, `low.laplace.2`); and a sha256 of every other output file
+and of each command's exit code and streams, keyed by the path or command line.
+
 `--compare` prints the largest move per field and file, and exits 1 if any
-moved outside `--allow` (which matches a field name or its dotted suffix).
+moved outside `--allow`. `--allow NAME` matches a field named NAME or ending in
+`.NAME`, and a file whose key is NAME, ends in `.NAME` (`pred`, `summary`) or is
+the streams of a NAME command (`fit`, `predict`, `simulate`). `--allow NAME@TEXT`
+allows those moves only in the cases and file keys that contain TEXT.
 """
 
 import argparse
@@ -85,6 +91,14 @@ def _cli(argv, fields, files):
         if path.endswith(".bundle"):
             with open(path, encoding="utf-8") as fh:
                 _record(fields, path, "bundle", json.load(fh))
+        elif path.endswith(".raw"):
+            with open(path, newline="", encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    case = f"{path[:-4]}.{row.pop('method')}.{row.pop('rep')}"
+                    for col, cell in row.items():
+                        with contextlib.suppress(ValueError):
+                            cell = float(cell)
+                        _record(fields, case, f"simulate.{col}", cell)
         else:
             with open(path, "rb") as fh:
                 files[path] = hashlib.sha256(fh.read()).hexdigest()
@@ -127,38 +141,55 @@ def run(src):
     return {"fields": fields, "files": files}
 
 
+def _allowed(allow, key, where):
+    """Whether `--allow` permits a move of field or file `key` in case `where`."""
+    head, _, args = key.partition(" ")  # a command's streams: its command line
+    for rule in allow:
+        name, _, scope = rule.partition("@")
+        hit = head == name if args else key == name or key.endswith("." + name)
+        if hit and scope in where:
+            return True
+    return False
+
+
 def compare(a, b, allow):
     bad = 0
     for name in sorted(set(a["fields"]) | set(b["fields"])):
         fa, fb = a["fields"].get(name, {}), b["fields"].get(name, {})
         d_abs = d_rel = 0.0
-        for case in set(fa) | set(fb):
+        refused = []
+        for case in sorted(set(fa) | set(fb)):
             va, vb = fa.get(case), fb.get(case)
+            c_abs = c_rel = 0.0
             if isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb):
                 x, y = np.array(va, dtype=float), np.array(vb, dtype=float)
                 same = (x == y) | (np.isnan(x) & np.isnan(y))
                 diff = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
                 rel = diff / np.maximum(np.abs(x), np.finfo(float).tiny)
-                d_abs = max(d_abs, float(diff.max(initial=0.0)))
-                d_rel = max(d_rel, float(rel.max(initial=0.0)))
+                c_abs, c_rel = float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
             elif va != vb:
-                d_abs = d_rel = np.inf
-        bad += d_abs > 0 and not any(name == x or name.endswith("." + x) for x in allow)
-        print(f"{'MOVED' if d_abs > 0 else 'same '} {name}: abs {d_abs:.3g} rel {d_rel:.3g}")
-    for name in sorted(set(a["files"]) | set(b["files"])):
-        moved = a["files"].get(name) != b["files"].get(name)
-        bad += moved
-        print(f"{'MOVED' if moved else 'same '} file {name}")
+                c_abs = c_rel = np.inf
+            d_abs, d_rel = max(d_abs, c_abs), max(d_rel, c_rel)
+            if c_abs > 0 and not _allowed(allow, name, case):
+                refused.append(case)
+        bad += bool(refused)
+        print(f"{'MOVED' if d_abs > 0 else 'same '} {name}: abs {d_abs:.3g} rel {d_rel:.3g}"
+              + (f" NOT ALLOWED in {', '.join(refused[:5])}" if refused else ""))
+    for key in sorted(set(a["files"]) | set(b["files"])):
+        moved = a["files"].get(key) != b["files"].get(key)
+        refused = moved and not _allowed(allow, key, key)
+        bad += refused
+        print(f"{'MOVED' if moved else 'same '} file {key}{' NOT ALLOWED' if refused else ''}")
     return 1 if bad else 0
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--src", help="source tree holding the vbpoisson package")
     ap.add_argument("--out", help="manifest to write")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
-    ap.add_argument("--allow", action="append", default=[], help="field allowed to move")
-    args = ap.parse_args()
+    ap.add_argument("--allow", action="append", default=[], help="NAME or NAME@TEXT: a field or file allowed to move")
+    args = ap.parse_args(argv)
     if args.compare:
         manifests = []
         for path in args.compare:
