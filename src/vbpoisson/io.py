@@ -173,14 +173,19 @@ def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
             f"{path}: bundle has {found}; this version reads format_version {FORMAT_VERSION!r}"
         )
     try:
-        fit_d, sp = bundle["fit"], bundle["sparse"]
+        meta, fit_d, sp = bundle["metadata"], bundle["fit"], bundle["sparse"]
+        if meta["method"] not in {m.value for m in Method}:
+            raise ParseError(f"{path}: model bundle's 'method' entry {meta['method']!r} "
+                             "is not a method name")
+        if not isinstance(meta["columns"], list):
+            raise ParseError(f"{path}: model bundle's 'columns' entry is not a list")
         interval = None
         if "interval_mean" in fit_d:
             interval = GaussianPosterior(
                 np.array(fit_d["interval_mean"]), np.array(fit_d["interval_covariance"])
             )
         fit = FitResult(
-            method=Method(bundle["metadata"]["method"]),
+            method=Method(meta["method"]),
             posterior=GaussianPosterior(np.array(fit_d["mean"]), np.array(fit_d["covariance"])),
             inclusion_prob=np.array(fit_d["inclusion_prob"]),
             hyper_expectations={

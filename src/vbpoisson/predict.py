@@ -3,6 +3,9 @@
 A new count mixes a Poisson pmf over a log-normal rate: with u = log(rate),
 p(y0) = (1/y0!) * integral of exp(-e^u) e^(u*y0) N(u; m, s^2) du, where m and
 s^2 come from the Gaussian coefficient posterior at the covariate row.
+Each count's integral is a Gauss-Legendre rule on a window centred on that
+count's own integrand mode, so a count far from e^m is not missed; below
+s^2 = 1e-12 the pmf is the plain Poisson one at rate e^m.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtri, wrightomega
 
 from .core import FitResult, GaussianPosterior
 from .errors import TruncationError
@@ -19,7 +23,11 @@ from .sparsify import SparseCoefficients
 from .special_math import log_gamma
 
 _DEGENERATE_VAR = 1e-12
-_WINDOW_SD = 12.0
+# each side of the mode ends where the integrand is e^-45 of its peak
+_WINDOW_NATS = 45.0
+# a Gauss-Legendre rule moved from [-1, 1] to [0, 1]
+_GL_NODES, _GL_WEIGHTS = leggauss(32)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 _MASS_TARGET = 1.0 - 1e-6
 _ENUM_CAP = 10**6
 
@@ -39,39 +47,51 @@ def ppmf_gaussian(x0: np.ndarray, posterior: GaussianPosterior, y0: int) -> floa
 
 
 def _pmf_batch(m: float, s2: float, ys: np.ndarray) -> np.ndarray:
-    """Vectorized Simpson evaluation of the predictive pmf at many counts."""
+    """The predictive pmf at many counts, each by its own mode-centred rule.
+
+    For a count y the log integrand has its mode at u* = m + gap, with
+    gap = s^2 y - W(s^2 e^(m + s^2 y)), and with c = e^u* it lies
+    drop(d) = d^2/(2 s^2) + c (e^d - 1 - d) below its peak at u* + d. Each side
+    of u* runs out to where drop reaches _WINDOW_NATS and gets a 32-node
+    Gauss-Legendre rule. The integrand is summed in this peak-relative form:
+    the plain y u - e^u - (u - m)^2/(2 s^2) cancels badly when s^2 is tiny.
+    """
     if s2 < _DEGENERATE_VAR:
         return np.exp(poisson_logpmf(ys.astype(float), m))
-    s = np.sqrt(s2)
-    lo, hi = m - _WINDOW_SD * s, m + _WINDOW_SD * s
-    ymax = float(ys.max())
-    # the integrand's narrowest scale is the smaller of the mixing sd and the
-    # Poisson factor's curvature scale 1/sqrt(y)
-    feature = min(s, 1.0 / np.sqrt(max(ymax, 1.0)))
-    n = int(np.clip(np.ceil(16.0 * (hi - lo) / feature), 200, 6000))
-    n += n % 2
-    u = np.linspace(lo, hi, n + 1)
-    log_mix = -0.5 * (u - m) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2)
-    h = (hi - lo) / n
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
     out = np.empty(ys.shape[0])
     # keep the count-by-node matrix bounded so long supports stay cheap
-    block = max(1, int(2**22 // (n + 1)))
+    block = 2**22 // (2 * _GL_NODES.size)
     for start in range(0, ys.shape[0], block):
-        yb = ys[start : start + block]
-        log_int = (
-            yb[:, None] * u[None, :]
-            - np.exp(u)[None, :]
-            - log_gamma(yb + 1.0)[:, None]
-            + log_mix[None, :]
+        y = ys[start : start + block].astype(float)
+        # wrightomega(z) = W(e^z), which does not overflow
+        gap = s2 * y - wrightomega(np.log(s2) + m + s2 * y)
+        c = np.exp(m + gap)
+        # zero at the exact mode; the linear term absorbs the rounding of u*
+        slope = y - c - gap / s2
+        peak = (
+            y * (m + gap) - c - 0.5 * gap**2 / s2
+            - log_gamma(y + 1.0) - 0.5 * np.log(2.0 * np.pi * s2)
         )
-        shift = log_int.max(axis=1, keepdims=True)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        vals = np.exp(log_int - shift)
-        out[start : start + yb.shape[0]] = np.exp(shift[:, 0]) * (h / 3.0) * (vals @ w)
+        # drop is convex in d, so Newton started beyond the root stays beyond it
+        ends = np.column_stack([
+            np.full_like(y, -np.sqrt(2.0 * _WINDOW_NATS * s2)),
+            np.minimum(np.sqrt(2.0 * _WINDOW_NATS / (1.0 / s2 + c)),
+                       np.log1p(2.0 * _WINDOW_NATS / c) + 1.0),
+        ])
+        c = c[:, None]
+        for _ in range(4):
+            ends -= (_drop(ends, s2, c) - _WINDOW_NATS) / (ends / s2 + c * np.expm1(ends))
+        # rows: counts; columns: the 2 x 32 nodes of [ends[0], 0] and [0, ends[1]]
+        d = (ends[:, :, None] * _GL_NODES).reshape(y.shape[0], -1)
+        w = (np.abs(ends)[:, :, None] * _GL_WEIGHTS).reshape(y.shape[0], -1)
+        vals = np.exp(peak[:, None] + slope[:, None] * d - _drop(d, s2, c))
+        out[start : start + y.shape[0]] = np.einsum("ij,ij->i", w, vals)
     return out
+
+
+def _drop(d: np.ndarray, s2: float, c: np.ndarray) -> np.ndarray:
+    """How far the log integrand lies below its peak at offset d from the mode."""
+    return 0.5 * d**2 / s2 + c * (np.expm1(d) - d)
 
 
 @dataclass(frozen=True)

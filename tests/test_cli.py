@@ -137,6 +137,33 @@ def test_predict_rejects_a_malformed_bundle(tmp_path, capsys, text, message):
     assert not pred_out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta.pop("columns"), "no 'columns' entry"),
+        (lambda meta: meta.update(method="lasso"), "'method' entry 'lasso' is not a method name"),
+    ],
+)
+def test_predict_rejects_a_bundle_with_a_bad_metadata_entry(
+    tmp_path, data_csv, capsys, edit, message
+):
+    model = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "cs", "--data", data_csv,
+                "--response", "y", "--out", str(model)]) == EXIT_OK
+    bundle = json.loads(model.read_text(encoding="utf-8"))
+    edit(bundle["metadata"])
+    model.write_text(json.dumps(bundle), encoding="utf-8")
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x2\n0.0,0.0\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    capsys.readouterr()
+    code = cli(["predict", "--model", str(model), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model) in err and message in err
+    assert not pred_out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_predict_rejects_a_non_finite_covariate(tmp_path, data_csv, capsys, cell):
     out = tmp_path / "fit.json"

@@ -108,3 +108,35 @@ def test_a_move_outside_the_scope_is_named(tmp_path, capsys):
 )
 def test_an_allow_matches_a_file_by_key_extension_or_command(tmp_path, files, allow, code):
     assert _exit(tmp_path, _BASE, _moved(files=files), *allow) == code
+
+
+def test_a_pred_file_is_recorded_row_by_row(tmp_path):
+    pred = tmp_path / "d0-cs.pred"
+    rows = [{"hpd_set": [1, 2], "mean": 1.5, "mode": 1, "tail_mass": 0.0},
+            {"hpd_set": [3], "mean": 3.25, "mode": 3, "tail_mass": 1e-7}]
+    pred.write_text(json.dumps({"level": 0.9, "predictions": rows}), encoding="utf-8")
+    fields, files = {}, {}
+    parity._record_output(fields, files, str(pred))
+    stem = str(tmp_path / "d0-cs")
+    assert files == {}
+    assert fields == {
+        "predict.hpd_set": {f"{stem}.0": [1.0, 2.0], f"{stem}.1": [3.0]},
+        "predict.mean": {f"{stem}.0": [1.5], f"{stem}.1": [3.25]},
+        "predict.mode": {f"{stem}.0": [1.0], f"{stem}.1": [3.0]},
+        "predict.tail_mass": {f"{stem}.0": [0.0], f"{stem}.1": [1e-7]},
+        "predict.level": {stem: [0.9]},
+    }
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("predict.mean", 0), ("predict.tail_mass", 0), ("predict.mode", 1), ("predict.hpd_set", 1)],
+)
+def test_the_predictive_contract_allows_mean_and_tail_mass_only(tmp_path, name, code):
+    base = copy.deepcopy(_BASE)
+    for field, value in (("mean", [1.5]), ("tail_mass", [0.0]), ("mode", [1.0]),
+                         ("hpd_set", [1.0, 2.0])):
+        base["fields"][f"predict.{field}"] = {"d0-cs.0": value, "d0-laplace.0": value}
+    moved = copy.deepcopy(base)
+    moved["fields"][name]["d0-cs.0"] = [v + 1e-12 for v in moved["fields"][name]["d0-cs.0"]]
+    assert _exit(tmp_path, base, moved, "predict.mean", "predict.tail_mass") == code

@@ -6,14 +6,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, optimize, stats
+from scipy.special import gammaln, wrightomega
 
 import vbpoisson
 from vbpoisson.core import FitResult, GaussianPosterior, Method
 from vbpoisson.predict import (
+    _ENUM_CAP,
     _hpd_set,
+    _pmf_batch,
     hpd_coefficients,
     ppmf_gaussian,
     predictive_distribution,
@@ -54,6 +57,75 @@ def test_scalar_ppmf_matches_quadrature():
         post = GaussianPosterior(np.array([m]), np.array([[s2]]))
         val = ppmf_gaussian(np.array([1.0]), post, y0)
         assert val == pytest.approx(_trapezoid_ppmf(m, s2, y0), rel=1e-6)
+
+
+def _quad_ppmf(m, s2, y):
+    """Reference: adaptive quadrature of the integrand scaled by its peak, split at its mode.
+
+    The mode u* = m + gap solves y - e^u - (u - m)/s2 = 0; each side of it runs
+    out to where the log integrand lies 100 nats below the peak.
+    """
+    gap = s2 * y - wrightomega(np.log(s2) + m + s2 * y)
+    c = np.exp(m + gap)
+    log_peak = (y * (m + gap) - c - gap**2 / (2 * s2)
+                - gammaln(y + 1) - 0.5 * np.log(2 * np.pi * s2))
+
+    def drop(d):
+        # log peak minus log integrand at u* + d; exact whatever u* is
+        return (d * d + 2 * gap * d) / (2 * s2) - y * d + c * np.expm1(d)
+
+    def below(d):
+        return d * d / (2 * s2) + c * (np.expm1(d) - d) - 100.0
+
+    lo = optimize.brentq(below, -np.sqrt(200 * s2), 0.0)
+    hi = optimize.brentq(below, 0.0, np.log1p(200 / c) + 1.0)
+    mass = sum(
+        integrate.quad(lambda d: np.exp(-drop(d)), a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        for a, b in ((lo, 0.0), (0.0, hi))
+    )
+    return np.exp(log_peak) * mass
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(12)
+    # the integrand peaks at u* = 6.42, far outside m +- 12 sd = [7.25, 8.87]
+    yield 8.06, 0.00456, np.array([255])
+    for _ in range(120):
+        m = rng.uniform(-8.0, 10.0)
+        s2 = 10.0 ** rng.uniform(-8.0, np.log10(30.0))
+        ys = np.unique(np.concatenate([
+            rng.integers(0, 20, 3), np.floor(10.0 ** rng.uniform(0.0, np.log10(5000.0), 3))
+        ]))
+        yield m, s2, ys
+
+
+def test_pmf_matches_adaptive_quadrature_centred_on_the_mode():
+    for m, s2, ys in _oracle_cases():
+        ref = np.array([_quad_ppmf(m, s2, float(y)) for y in ys])
+        got = _pmf_batch(m, s2, ys)
+        err = np.abs(got - ref)
+        case = f"m={m}, s2={s2}, ys={ys}"
+        assert err.max() <= 1e-11, case
+        big = ref >= 1e-290
+        assert np.all(err[big] <= 1e-9 * ref[big]), case
+
+
+def test_pmf_at_tiny_variance_matches_the_second_order_expansion():
+    # below s2 = 1e-8 plain double quadrature is itself off by ~1e-10, so the
+    # reference is E[Poisson(y; e^u)] to second order: p (1 + s2/2 ((y - lam)^2 - lam))
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        m = rng.uniform(-4.0, 8.0)
+        s2 = 10.0 ** rng.uniform(-12.0, -8.0)
+        lam = np.exp(m)
+        ys = np.arange(int(lam + 12.0 * np.sqrt(lam) + 30.0))
+        p = np.exp(ys * m - lam - gammaln(ys + 1.0))
+        ref = p * (1.0 + 0.5 * s2 * ((ys - lam) ** 2 - lam))
+        err = np.abs(_pmf_batch(m, s2, ys) - ref)
+        assert err.max() <= 1e-11, (m, s2)
+        # where the expansion's next term is below 1e-10 relative
+        near = (ref >= 1e-290) & (s2 * ((ys - lam) ** 2 + lam) <= 1e-5)
+        assert np.all(err[near] <= 1e-9 * ref[near]), (m, s2)
 
 
 def test_degenerate_variance_reduces_to_poisson():
@@ -120,6 +192,35 @@ def test_hpd_set_equals_the_greedy_accumulation(
         # a running total that lands exactly on the level ends the set there
         level = float(np.cumsum(np.sort(pmf)[::-1])[rng.integers(size)])
     assert _hpd_set(pmf, level) == _greedy_hpd_set(pmf, level)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.floats(-4.0, 6.0),
+    s2=st.one_of(st.just(0.0), st.floats(1e-12, 30.0)),
+    masked=st.booleans(),
+    level=st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+)
+def test_predictive_distribution_invariants(m, s2, masked, level):
+    # a rate law with more than about 1e-7 of its mass past the enumeration
+    # cap ends in TruncationError, which these invariants are not about
+    assume(m + 5.2 * np.sqrt(s2) < np.log(_ENUM_CAP))
+    # the mask drops a second coefficient that would otherwise move m and s2
+    fit = _fit([m, 3.0], [[s2, 0.0], [0.0, 5.0]])
+    sparse = SparseCoefficients(
+        beta_hat=np.array([m, 0.0]), support=(0,), kappa=1.0, aic=0.0, df=1,
+        p_binary=np.array([1.0, 0.0]),
+    )
+    x0 = np.array([1.0, 1.0]) if masked else np.array([1.0, 0.0])
+    dist = predictive_distribution(x0, fit, sparse if masked else None, level=level)
+    pmf = dist.pmf
+    assert abs(float(pmf.sum()) + dist.tail_mass - 1.0) <= 1e-6
+    assert dist.tail_mass <= 1e-6
+    assert dist.mode in dist.hpd_set
+    # a Poisson mixture over a unimodal rate law is unimodal (Holgate 1970)
+    rise, fall = pmf[: dist.mode + 1], pmf[dist.mode :]
+    assert np.all(rise[1:] >= rise[:-1] * (1.0 - 1e-12))
+    assert np.all(fall[1:] <= fall[:-1] * (1.0 + 1e-12))
 
 
 def test_mean_property_matches_manual_sum():

@@ -7,14 +7,15 @@
 The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets;
 `fit` (3 methods, standardised or not) on two 2000x30 and two 150x4 CSVs, with
 `predict` on each bundle; `simulate` `low` (3 reps) and `high` (1 rep). The
-manifest holds every leaf of every FitResult, sparse record and bundle, and
-every cell of the `simulate` raw tables, each keyed by its case (`low0.cs`,
-`d1-laplace.bundle`, `low.laplace.2`); and a sha256 of every other output file
-and of each command's exit code and streams, keyed by the path or command line.
+manifest holds every leaf of every FitResult, sparse record and bundle, every
+cell of the `simulate` raw tables and every field of each `predict` row, each
+keyed by its case (`low0.cs`, `d1-laplace.bundle`, `low.laplace.2`,
+`d1-laplace.17`); and a sha256 of every other output file and of each
+command's exit code and streams, keyed by the path or command line.
 
 `--compare` prints the largest move per field and file, and exits 1 if any
 moved outside `--allow`. `--allow NAME` matches a field named NAME or ending in
-`.NAME`, and a file whose key is NAME, ends in `.NAME` (`pred`, `summary`) or is
+`.NAME`, and a file whose key is NAME, ends in `.NAME` (`summary`) or is
 the streams of a NAME command (`fit`, `predict`, `simulate`). `--allow NAME@TEXT`
 allows those moves only in the cases and file keys that contain TEXT.
 """
@@ -86,22 +87,32 @@ def _cli(argv, fields, files):
     streams = f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
     files[" ".join(argv)] = hashlib.sha256(streams).hexdigest()
     for path in (v for flag, v in zip(argv, argv[1:]) if flag in ("--out", "--summary-out")):
-        if not os.path.exists(path):
-            continue
-        if path.endswith(".bundle"):
-            with open(path, encoding="utf-8") as fh:
-                _record(fields, path, "bundle", json.load(fh))
-        elif path.endswith(".raw"):
-            with open(path, newline="", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    case = f"{path[:-4]}.{row.pop('method')}.{row.pop('rep')}"
-                    for col, cell in row.items():
-                        with contextlib.suppress(ValueError):
-                            cell = float(cell)
-                        _record(fields, case, f"simulate.{col}", cell)
-        else:
-            with open(path, "rb") as fh:
-                files[path] = hashlib.sha256(fh.read()).hexdigest()
+        if os.path.exists(path):
+            _record_output(fields, files, path)
+
+
+def _record_output(fields, files, path):
+    """Record a bundle leaf by leaf, a raw table or `.pred` file row by row, else a sha256."""
+    if path.endswith(".bundle"):
+        with open(path, encoding="utf-8") as fh:
+            _record(fields, path, "bundle", json.load(fh))
+    elif path.endswith(".raw"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                case = f"{path[:-4]}.{row.pop('method')}.{row.pop('rep')}"
+                for col, cell in row.items():
+                    with contextlib.suppress(ValueError):
+                        cell = float(cell)
+                    _record(fields, case, f"simulate.{col}", cell)
+    elif path.endswith(".pred"):
+        with open(path, encoding="utf-8") as fh:
+            pred = json.load(fh)
+        for i, row in enumerate(pred.pop("predictions")):
+            _record(fields, f"{path[:-5]}.{i}", "predict", row)
+        _record(fields, path[:-5], "predict", pred)
+    else:
+        with open(path, "rb") as fh:
+            files[path] = hashlib.sha256(fh.read()).hexdigest()
 
 
 def _cli_cases(fields, files):
