@@ -29,7 +29,11 @@ class NumericalError(VbPoissonError):
 
 
 class TruncationError(VbPoissonError):
-    """Predictive enumeration hit its cap before accumulating enough mass."""
+    """A predictive pmf cannot reach its mass target within the enumeration cap.
+
+    ``accumulated_mass`` is the summed mass of the evaluated counts: 0.0 when
+    the row's rate law was refused before any count was evaluated.
+    """
 
     def __init__(self, message, accumulated_mass):
         super().__init__(message)

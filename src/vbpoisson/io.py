@@ -179,15 +179,23 @@ def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
                              "is not a method name")
         if not isinstance(meta["columns"], list):
             raise ParseError(f"{path}: model bundle's 'columns' entry is not a list")
+        p = len(meta["columns"])
+
+        def posterior(mean_key, cov_key):
+            cov = _entry(path, fit_d, cov_key, (p, p))
+            if np.any(np.diag(cov) < 0.0):
+                raise ParseError(
+                    f"{path}: model bundle's {cov_key!r} entry has a negative variance"
+                )
+            return GaussianPosterior(_entry(path, fit_d, mean_key, (p,)), cov)
+
         interval = None
         if "interval_mean" in fit_d:
-            interval = GaussianPosterior(
-                np.array(fit_d["interval_mean"]), np.array(fit_d["interval_covariance"])
-            )
+            interval = posterior("interval_mean", "interval_covariance")
         fit = FitResult(
             method=Method(meta["method"]),
-            posterior=GaussianPosterior(np.array(fit_d["mean"]), np.array(fit_d["covariance"])),
-            inclusion_prob=np.array(fit_d["inclusion_prob"]),
+            posterior=posterior("mean", "covariance"),
+            inclusion_prob=_entry(path, fit_d, "inclusion_prob", (p,)),
             hyper_expectations={
                 k: np.array(v) if isinstance(v, list) else v
                 for k, v in fit_d["hyper_expectations"].items()
@@ -197,11 +205,23 @@ def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
             converged=fit_d["converged"],
             interval_posterior=interval,
         )
-        arrays = {k: np.array(sp[k]) for k in ("beta_hat", "p_binary")}
+        arrays = {k: _entry(path, sp, k, (p,)) for k in ("beta_hat", "p_binary")}
         sparse = SparseCoefficients(**{**sp, **arrays, "support": tuple(sp["support"])})
     except KeyError as exc:
         raise ParseError(f"{path}: model bundle has no {exc.args[0]!r} entry") from None
     return fit, sparse, bundle
+
+
+def _entry(path: str, block: dict, key: str, shape: tuple) -> np.ndarray:
+    """A bundle block's entry as a finite float array of the given shape, else ParseError."""
+    try:
+        arr = np.array(block[key], dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ParseError(f"{path}: model bundle's {key!r} entry is not "
+                         f"{'x'.join(map(str, shape))} finite numbers")
+    return arr
 
 
 def write_raw_table(rows: list, path: str):

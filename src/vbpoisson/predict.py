@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtri, wrightomega
+from scipy.special import ndtr, ndtri, pdtrik, wrightomega
 
 from .core import FitResult, GaussianPosterior
 from .errors import TruncationError
@@ -96,17 +96,17 @@ def _drop(d: np.ndarray, s2: float, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Truncated predictive pmf with its point and interval summaries."""
+    """Predictive pmf on counts 0..support_max with its point and interval summaries.
+
+    `mean` is the whole mixture's mean e^(m + s^2/2), not a sum over the pmf.
+    """
 
     support_max: int
     pmf: np.ndarray
     mode: int
     hpd_set: tuple
     tail_mass: float
-
-    @property
-    def mean(self) -> float:
-        return float(np.arange(self.support_max + 1) @ self.pmf)
+    mean: float
 
 
 def _check_level(level: float) -> None:
@@ -127,43 +127,42 @@ def predictive_distribution(
     sparse: SparseCoefficients | None = None,
     level: float = 0.95,
 ) -> PredictiveDistribution:
-    """Enumerate the predictive pmf until only negligible mass remains.
+    """The predictive pmf on counts 0..K, with K sized from the row's own m and s^2.
 
     With `sparse` given, the coefficients it zeroes leave the linear predictor.
+    A row whose pmf cannot reach _MASS_TARGET within _ENUM_CAP counts raises
+    TruncationError.
     """
     _check_level(level)
     x0 = np.asarray(x0, dtype=float)
     xm = x0 if sparse is None else x0 * sparse.p_binary
     m = float(xm @ fit.posterior.mean)
     s2 = float(xm @ fit.posterior.covariance @ xm)
-    pmf_parts = []
-    total = 0.0
-    start = 0
-    chunk = 256
-    while total < _MASS_TARGET:
-        if start >= _ENUM_CAP:
-            raise TruncationError(
-                "predictive enumeration cap reached", accumulated_mass=total
-            )
-        ys = np.arange(start, min(start + chunk, _ENUM_CAP))
-        part = _pmf_batch(m, s2, ys)
-        pmf_parts.append(part)
-        total += float(part.sum())
-        start += ys.shape[0]
-        chunk = min(chunk * 2, 2**16)
-    pmf = np.concatenate(pmf_parts)
-    # trim trailing all-but-zero entries past the last point carrying mass
-    keep = np.flatnonzero(pmf > 0.0)
-    support_max = int(keep[-1]) if keep.size else 0
-    pmf = pmf[: support_max + 1]
-    tail_mass = max(0.0, 1.0 - float(pmf.sum()))
-    mode = int(np.argmax(pmf))
+    s = np.sqrt(s2) if s2 >= _DEGENERATE_VAR else 0.0
+    # P(y >= cap) >= P(rate >= 2 cap) (1 - e^(-cap/4)), so a rate law with more
+    # than 1 - _MASS_TARGET past 2 cap can never reach the target: refuse it
+    # before evaluating any count
+    log_2cap = np.log(2.0 * _ENUM_CAP)
+    if (ndtr((m - log_2cap) / s) if s > 0.0 else m >= log_2cap) > 1.0 - _MASS_TARGET:
+        raise TruncationError("predictive enumeration cap reached", accumulated_mass=0.0)
+    # with T = _MASS_TARGET, K is the Poisson upper quantile at 0.09 (1 - T) of
+    # the rate law's upper quantile at 0.81 (1 - T); a Poisson tail grows with
+    # its rate, so by the union bound P(y > K) <= 0.9 (1 - T). fmin also caps
+    # the nan that pdtrik returns at an overflowed rate
+    rate = np.exp(m - s * ndtri(0.81 * (1.0 - _MASS_TARGET)))
+    k = np.ceil(pdtrik(1.0 - 0.09 * (1.0 - _MASS_TARGET), rate))
+    support_max = int(np.fmin(k, _ENUM_CAP - 1))
+    pmf = _pmf_batch(m, s2, np.arange(support_max + 1))
+    total = float(pmf.sum())
+    if total < _MASS_TARGET:
+        raise TruncationError("predictive enumeration cap reached", accumulated_mass=total)
     return PredictiveDistribution(
         support_max=support_max,
         pmf=pmf,
-        mode=mode,
+        mode=int(np.argmax(pmf)),
         hpd_set=_hpd_set(pmf, level),
-        tail_mass=tail_mass,
+        tail_mass=max(0.0, 1.0 - total),
+        mean=float(np.exp(m + 0.5 * s2)),
     )
 
 

@@ -164,6 +164,40 @@ def test_predict_rejects_a_bundle_with_a_bad_metadata_entry(
     assert not pred_out.exists()
 
 
+def _set_first_variance(value):
+    def edit(bundle):
+        bundle["fit"]["covariance"][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b["fit"]["mean"].pop(), "'mean' entry is not 3 finite numbers"),
+        (lambda b: b["sparse"]["p_binary"].pop(), "'p_binary' entry is not 3 finite numbers"),
+        (_set_first_variance(float("nan")), "'covariance' entry is not 3x3 finite numbers"),
+        (_set_first_variance(-0.5), "'covariance' entry has a negative variance"),
+    ],
+    ids=["short-mean", "short-p_binary", "nan-covariance", "negative-variance"],
+)
+def test_predict_rejects_a_bundle_with_a_bad_fit_entry(tmp_path, data_csv, capsys, edit, message):
+    model = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "cs", "--data", data_csv,
+                "--response", "y", "--out", str(model)]) == EXIT_OK
+    bundle = json.loads(model.read_text(encoding="utf-8"))
+    edit(bundle)
+    model.write_text(json.dumps(bundle), encoding="utf-8")
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x2\n0.0,0.0\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    capsys.readouterr()
+    code = cli(["predict", "--model", str(model), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model) in err and message in err
+    assert not pred_out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_predict_rejects_a_non_finite_covariate(tmp_path, data_csv, capsys, cell):
     out = tmp_path / "fit.json"

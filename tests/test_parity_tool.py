@@ -5,6 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -140,3 +141,17 @@ def test_the_predictive_contract_allows_mean_and_tail_mass_only(tmp_path, name, 
     moved = copy.deepcopy(base)
     moved["fields"][name]["d0-cs.0"] = [v + 1e-12 for v in moved["fields"][name]["d0-cs.0"]]
     assert _exit(tmp_path, base, moved, "predict.mean", "predict.tail_mass") == code
+
+
+def test_the_predictive_grid_records_fields_or_the_error_class(monkeypatch):
+    # a light row, an s^2 = 0 row and a row refused past the enumeration cap
+    monkeypatch.setattr(parity, "_PREDICT_GRID", ((0.2, 0.1, 0.95), (1.0, 0.0, 0.5),
+                                                  (2.0, 8.0, 0.95)))
+    fields = {}
+    parity._predict_grid(fields)
+    assert sorted(fields) == ["predict.error", "predict.hpd_set", "predict.mean",
+                              "predict.mode", "predict.tail_mass"]
+    assert fields["predict.error"] == {"grid.2": "'TruncationError'"}
+    assert sorted(fields["predict.mode"]) == ["grid.0", "grid.1"]
+    assert fields["predict.mean"]["grid.1"] == [np.exp(1.0)]
+    assert fields["predict.mode"]["grid.1"] == [2.0]  # Poisson(e) peaks at 2

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from scipy.special import gammaln, wrightomega
 
 import vbpoisson
 from vbpoisson.core import FitResult, GaussianPosterior, Method
+from vbpoisson.errors import TruncationError
 from vbpoisson.predict import (
     _ENUM_CAP,
+    _MASS_TARGET,
     _hpd_set,
     _pmf_batch,
     hpd_coefficients,
@@ -203,7 +206,7 @@ def test_hpd_set_equals_the_greedy_accumulation(
 )
 def test_predictive_distribution_invariants(m, s2, masked, level):
     # a rate law with more than about 1e-7 of its mass past the enumeration
-    # cap ends in TruncationError, which these invariants are not about
+    # cap may end in TruncationError, which these invariants are not about
     assume(m + 5.2 * np.sqrt(s2) < np.log(_ENUM_CAP))
     # the mask drops a second coefficient that would otherwise move m and s2
     fit = _fit([m, 3.0], [[s2, 0.0], [0.0, 5.0]])
@@ -215,7 +218,7 @@ def test_predictive_distribution_invariants(m, s2, masked, level):
     dist = predictive_distribution(x0, fit, sparse if masked else None, level=level)
     pmf = dist.pmf
     assert abs(float(pmf.sum()) + dist.tail_mass - 1.0) <= 1e-6
-    assert dist.tail_mass <= 1e-6
+    assert dist.tail_mass <= 9e-7
     assert dist.mode in dist.hpd_set
     # a Poisson mixture over a unimodal rate law is unimodal (Holgate 1970)
     rise, fall = pmf[: dist.mode + 1], pmf[dist.mode :]
@@ -223,11 +226,45 @@ def test_predictive_distribution_invariants(m, s2, masked, level):
     assert np.all(fall[1:] <= fall[:-1] * (1.0 + 1e-12))
 
 
-def test_mean_property_matches_manual_sum():
+def test_mean_is_the_closed_form_mixture_mean():
     fit = _fit([0.2], [[0.1]])
     dist = predictive_distribution(np.array([1.0]), fit)
-    manual = float(np.arange(dist.support_max + 1) @ dist.pmf)
-    assert dist.mean == pytest.approx(manual, rel=1e-12)
+    assert dist.mean == pytest.approx(np.exp(0.2 + 0.5 * 0.1), rel=1e-12)
+    # the sum over a support ten times longer carries all but ~1e-200 of the mass
+    ys = np.arange(10 * (dist.support_max + 1))
+    assert dist.mean == pytest.approx(float(ys @ _pmf_batch(0.2, 0.1, ys)), rel=1e-12)
+
+
+@pytest.mark.parametrize("m, s2", [(-4.0, 8.0), (-4.0, 11.0)])
+def test_a_heavy_row_mean_is_exact_where_its_tail_holds_mean(m, s2):
+    # under 1e-6 of the mass lies past the support, but 2-8% of the mean does
+    dist = predictive_distribution(np.array([1.0]), _fit([m], [[s2]]))
+    assert dist.mean == pytest.approx(np.exp(m + 0.5 * s2), rel=1e-12)
+    assert dist.tail_mass <= 9e-7
+
+
+@pytest.mark.parametrize("m, s2", [(-4.0, 30.0), (2.0, 8.0), (np.log(3e6), 0.0)])
+def test_a_row_past_the_cap_is_refused_before_any_count(m, s2):
+    start = time.perf_counter()
+    with pytest.raises(TruncationError) as info:
+        predictive_distribution(np.array([1.0]), _fit([m], [[s2]]))
+    assert time.perf_counter() - start < 0.1
+    assert info.value.accumulated_mass == 0.0
+
+
+@pytest.mark.parametrize(
+    "m, s2",
+    # at m = 8 the counts left of the mode underflow to exact zeros; at m = 5 they do not
+    [(0.2, 0.1), (-4.0, 8.0), (2.0, 0.5), (-30.0, 4.0), (5.0, 0.01), (8.0, 0.0), (8.0, 1e-6)],
+)
+def test_support_max_is_the_union_bound_quantile(m, s2):
+    tail = 1.0 - _MASS_TARGET
+    rate = np.exp(m + np.sqrt(s2) * stats.norm.isf(0.81 * tail))
+    k = int(stats.poisson.isf(0.09 * tail, rate))
+    dist = predictive_distribution(np.array([1.0]), _fit([m], [[s2]]))
+    assert dist.support_max == k and dist.pmf.shape == (k + 1,)
+    assert (dist.pmf[0] == 0.0) == (m == 8.0)
+    assert dist.tail_mass <= 9e-7
 
 
 def test_restricted_prediction_uses_the_sparse_mask():

@@ -5,13 +5,15 @@
     python tools/parity.py --compare old.json new.json --allow elbo_trace@laplace
 
 The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets;
-`fit` (3 methods, standardised or not) on two 2000x30 and two 150x4 CSVs, with
-`predict` on each bundle; `simulate` `low` (3 reps) and `high` (1 rep). The
-manifest holds every leaf of every FitResult, sparse record and bundle, every
-cell of the `simulate` raw tables and every field of each `predict` row, each
-keyed by its case (`low0.cs`, `d1-laplace.bundle`, `low.laplace.2`,
-`d1-laplace.17`); and a sha256 of every other output file and of each
-command's exit code and streams, keyed by the path or command line.
+a fixed grid of 24 library predictive rows; `fit` (3 methods, standardised or
+not) on two 2000x30 and two 150x4 CSVs, with `predict` on each bundle;
+`simulate` `low` (3 reps) and `high` (1 rep). The manifest holds every leaf of
+every FitResult, sparse record and bundle, every cell of the `simulate` raw
+tables and every field of each `predict` row (a grid row that raises records
+its error class instead), each keyed by its case (`low0.cs`, `grid.7`,
+`d1-laplace.bundle`, `low.laplace.2`, `d1-laplace.17`); and a sha256 of every
+other output file and of each command's exit code and streams, keyed by the
+path or command line.
 
 `--compare` prints the largest move per field and file, and exits 1 if any
 moved outside `--allow`. `--allow NAME` matches a field named NAME or ending in
@@ -66,6 +68,38 @@ def _library_cases():
         beta[[2, 5]] = rng.normal(0.7, 0.3, size=2)
         y = rng.poisson(np.exp(np.clip(x @ beta, None, 6.0))).astype(float)
         yield f"ascent{s}", Dataset(x, y), Hyperparameters()
+
+
+# (m, s^2, level) of one-coefficient predictive rows: light rate laws, heavy
+# ones (s^2 of 3.5 to 15), s^2 = 0 and below the degenerate threshold, and two
+# rows whose rate law puts too much mass past the enumeration cap
+_PREDICT_GRID = (
+    (0.2, 0.1, 0.95), (-2.0, 0.5, 0.5), (1.0, 1.0, 0.99), (3.0, 0.2, 0.95),
+    (5.0, 0.01, 0.5), (2.0, 2.0, 0.99), (3.0, 1.5, 0.95), (-30.0, 4.0, 0.95),
+    (-4.0, 8.0, 0.95), (-4.0, 11.0, 0.99), (-6.0, 12.0, 0.5), (-2.0, 6.0, 0.95),
+    (0.0, 4.0, 0.99), (1.0, 3.5, 0.5), (-8.0, 15.0, 0.95), (0.5, 0.0, 0.95),
+    (4.0, 0.0, 0.99), (8.0, 0.0, 0.5), (12.0, 0.0, 0.95), (3.0, 1e-13, 0.95),
+    (3.0, 1e-10, 0.99), (8.0, 1e-6, 0.5), (-4.0, 30.0, 0.95), (2.0, 8.0, 0.95),
+)
+
+
+def _predict_grid(fields):
+    """Record each grid row's `predict` fields, or the class of the error it raises."""
+    from vbpoisson.core import FitResult, GaussianPosterior, Method
+    from vbpoisson.errors import VbPoissonError
+    from vbpoisson.predict import predictive_distribution
+    for i, (m, s2, level) in enumerate(_PREDICT_GRID):
+        fit = FitResult(method=Method.LAPLACE,
+                        posterior=GaussianPosterior(np.array([m]), np.array([[s2]])),
+                        inclusion_prob=np.ones(1), hyper_expectations={},
+                        elbo_trace=np.zeros(1), iterations=1, converged=True)
+        try:
+            dist = predictive_distribution(np.ones(1), fit, level=level)
+            row = {"mode": dist.mode, "mean": dist.mean, "tail_mass": dist.tail_mass,
+                   "hpd_set": list(dist.hpd_set)}
+        except VbPoissonError as exc:
+            row = {"error": type(exc).__name__}
+        _record(fields, f"grid.{i}", "predict", row)
 
 
 def _write_csv(path, rng, n, p, response=True):
@@ -142,6 +176,7 @@ def run(src):
             fit = fitter(data, hp)
             _record(fields, f"{case}.{method.value}", "result", fit)
             _record(fields, f"{case}.{method.value}", "sparse", sparsify.sparsify(fit, data))
+    _predict_grid(fields)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative paths keep the commands' output identical across runs
