@@ -42,10 +42,11 @@ class Chain:
         return self.draws[:, self.param_names.index(name)]
 
 
-def _poisson_loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    if np.any(eta > XI_OVERFLOW):
-        return -np.inf
-    return float(y @ eta - np.sum(np.exp(eta)))
+def _poisson_loglik(eta: np.ndarray, y: np.ndarray):
+    """The log-likelihood up to a constant of eta, or of each column of an n x k
+    eta; -inf where eta passes XI_OVERFLOW (its exp is capped there, unused)."""
+    ll = y @ eta - np.exp(np.minimum(eta, XI_OVERFLOW)).sum(axis=0)
+    return np.where((eta > XI_OVERFLOW).any(axis=0), -np.inf, ll)
 
 
 _VAR_FLOOR = 1e-12
@@ -57,11 +58,37 @@ def _inv_gamma(rng: np.random.Generator, shape: float, rate: float) -> float:
     return max(rate, _VAR_FLOOR) / max(rng.gamma(shape), _VAR_FLOOR)
 
 
-def _gig_half(rng: np.random.Generator, a: float, b: float) -> float:
-    """Draw from GIG(order 1/2, a, b) via the reciprocal inverse Gaussian."""
-    b = max(b, 1e-12)
-    x = rng.wald(np.sqrt(a / b), a)
-    return 1.0 / x
+def _gig_half(rng: np.random.Generator, a: float, b: float | np.ndarray):
+    """Draw from GIG(order 1/2, a, b) via the reciprocal inverse Gaussian; a
+    vector `b` gives one draw per element, in order."""
+    b = np.maximum(b, 1e-12)
+    return 1.0 / rng.wald(np.sqrt(a / b), a)
+
+
+def _flip_sweep(x, y, beta, gamma, eta, ll, logit, u):
+    """One Gibbs pass over the inclusion mask of slopes 1..p-1, in order.
+
+    Slope j is on with probability 1 / (1 + e^-(ll_on - ll_off + logit[j-1])),
+    and stays or flips as u[j-1] falls below that; `eta` = x @ (gamma * beta)
+    and `ll` is its log-likelihood. Every remaining slope's flip is scored at
+    once from the running eta; after an accepted flip only the slopes past it
+    are scored again. Returns the mask, its eta and ll, and whether it moved.
+    """
+    gamma, flipped, j = gamma.copy(), False, 1
+    while j < gamma.size:
+        on = gamma[j:] > 0.5
+        eta_flip = eta[:, None] + x[:, j:] * np.where(on, -beta[j:], beta[j:])
+        ll_flip = _poisson_loglik(eta_flip, y)
+        delta = np.where(on, ll - ll_flip, ll_flip - ll) + logit[j - 1:]
+        prob = 1.0 / (1.0 + np.exp(np.clip(-delta, -700, 700)))
+        moved = np.flatnonzero((u[j - 1:] < prob) != on)
+        if moved.size == 0:
+            break
+        k = moved[0]
+        gamma[j + k] = 1.0 - gamma[j + k]
+        eta, ll, flipped = eta_flip[:, k], ll_flip[k], True
+        j += k + 1
+    return gamma, eta, ll, flipped
 
 
 def sample(
@@ -92,7 +119,7 @@ def sample(
 
     def likelihood(b):
         eta = x @ (gamma * b)
-        return eta, _poisson_loglik(eta, y)
+        return eta, float(_poisson_loglik(eta, y))
 
     if model is Method.LAPLACE:
         tau = np.ones(p)
@@ -104,8 +131,7 @@ def sample(
 
         def gibbs():
             nonlocal eta, a_var
-            for j in range(1, p):
-                tau[j] = _gig_half(rng, eta, beta[j] ** 2)
+            tau[1:] = _gig_half(rng, eta, beta[1:] ** 2)
             tau[0] = _inv_gamma(rng, 1.0, 0.5 * beta[0] ** 2 + 1.0 / a_var)
             rate = hp.delta + 0.5 * np.sum(tau[1:])
             eta = rng.gamma(p + hp.nu - 1.0) / rate
@@ -130,17 +156,13 @@ def sample(
 
         def gibbs():
             nonlocal tau2, a_var
-            for j in range(1, p):
-                # slab vs spike odds for the latent indicator
-                l1 = -0.5 * np.log(tau2) - 0.5 * beta[j] ** 2 / tau2 + np.log(pi[j])
-                l0 = (
-                    -0.5 * np.log(hp.c * tau2)
-                    - 0.5 * beta[j] ** 2 / (hp.c * tau2)
-                    + np.log(1.0 - pi[j])
-                )
-                prob = 1.0 / (1.0 + np.exp(np.clip(l0 - l1, -700, 700)))
-                z[j] = float(rng.random() < prob)
-                pi[j] = rng.beta(hp.rho1 + z[j], hp.rho2 + 1.0 - z[j])
+            # given β the indicators are independent: slab vs spike odds for
+            # all of them, each from its old πⱼ, then all πⱼ from the new ones
+            b2 = beta[1:] ** 2
+            l1 = -0.5 * np.log(tau2) - 0.5 * b2 / tau2 + np.log(pi[1:])
+            l0 = -0.5 * np.log(hp.c * tau2) - 0.5 * b2 / (hp.c * tau2) + np.log(1.0 - pi[1:])
+            z[1:] = rng.random(p - 1) < 1.0 / (1.0 + np.exp(np.clip(l0 - l1, -700, 700)))
+            pi[1:] = rng.beta(hp.rho1 + z[1:], hp.rho2 + 1.0 - z[1:])
             scale = np.where(z > 0.5, 1.0, hp.c)
             scale[0] = 1.0
             rate = 1.0 / a_var + 0.5 * float(np.sum(beta**2 / scale))
@@ -165,18 +187,10 @@ def sample(
             alpha = rng.gamma(hp.a_gamma + 0.5, size=p) / (hp.b_gamma + 0.5 * beta**2)
             # β has not moved since the loop last evaluated it, so the cached
             # likelihood is one side of each flip; only the other side is new
-            eta_run, ll_run, flipped = cur_eta, cur_ll, False
-            for j in range(1, p):
-                eta_flip = eta_run + (1.0 - 2.0 * gamma[j]) * beta[j] * x[:, j]
-                ll_flip = _poisson_loglik(eta_flip, y)
-                ll_on, ll_off = (ll_run, ll_flip) if gamma[j] > 0.5 else (ll_flip, ll_run)
-                delta = ll_on - ll_off + np.log(pi[j]) - np.log(1.0 - pi[j])
-                prob = 1.0 / (1.0 + np.exp(np.clip(-delta, -700, 700)))
-                new = float(rng.random() < prob)
-                if new != gamma[j]:
-                    eta_run, ll_run, flipped = eta_flip, ll_flip, True
-                gamma[j] = new
-                pi[j] = rng.beta(hp.rho1 + gamma[j], hp.rho2 + 1.0 - gamma[j])
+            logit = np.log(pi[1:]) - np.log(1.0 - pi[1:])
+            gamma[:], _, _, flipped = _flip_sweep(x, y, beta, gamma, cur_eta, cur_ll, logit,
+                                                  rng.random(p - 1))
+            pi[1:] = rng.beta(hp.rho1 + gamma[1:], hp.rho2 + 1.0 - gamma[1:])
             return flipped
 
         def snapshot():

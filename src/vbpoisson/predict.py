@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri, pdtrik, wrightomega
+from scipy.special import ndtr, ndtri, pdtrc, pdtrik, wrightomega
 
 from .core import FitResult, GaussianPosterior
-from .errors import TruncationError
+from .errors import NumericalError, TruncationError
 from .likelihood import poisson_logpmf
 from .sparsify import SparseCoefficients
 from .special_math import log_gamma
@@ -131,7 +131,7 @@ def predictive_distribution(
 
     With `sparse` given, the coefficients it zeroes leave the linear predictor.
     A row whose pmf cannot reach _MASS_TARGET within _ENUM_CAP counts raises
-    TruncationError.
+    TruncationError, and one whose mean overflows a float NumericalError.
     """
     _check_level(level)
     x0 = np.asarray(x0, dtype=float)
@@ -139,12 +139,17 @@ def predictive_distribution(
     m = float(xm @ fit.posterior.mean)
     s2 = float(xm @ fit.posterior.covariance @ xm)
     s = np.sqrt(s2) if s2 >= _DEGENERATE_VAR else 0.0
-    # P(y >= cap) >= P(rate >= 2 cap) (1 - e^(-cap/4)), so a rate law with more
-    # than 1 - _MASS_TARGET past 2 cap can never reach the target: refuse it
-    # before evaluating any count
+    # P(y >= cap) is at least P(rate >= 2 cap) (1 - e^(-cap/4)), and at least
+    # P(rate >= e^m) P(Pois(e^m) >= cap) with P(rate >= e^m) >= 1/2; a row where
+    # either bound passes 1 - _MASS_TARGET can never reach the target, so it is
+    # refused before any count is evaluated
     log_2cap = np.log(2.0 * _ENUM_CAP)
-    if (ndtr((m - log_2cap) / s) if s > 0.0 else m >= log_2cap) > 1.0 - _MASS_TARGET:
+    past_2cap = ndtr((m - log_2cap) / s) if s > 0.0 else m >= log_2cap
+    if (past_2cap > 1.0 - _MASS_TARGET
+            or 0.5 * pdtrc(_ENUM_CAP - 1, np.exp(m)) > 1.0 - _MASS_TARGET):
         raise TruncationError("predictive enumeration cap reached", accumulated_mass=0.0)
+    if m + 0.5 * s2 > np.log(np.finfo(float).max):
+        raise NumericalError("predictive mean e^(m + s^2/2) overflows a float")
     # with T = _MASS_TARGET, K is the Poisson upper quantile at 0.09 (1 - T) of
     # the rate law's upper quantile at 0.81 (1 - T); a Poisson tail grows with
     # its rate, so by the union bound P(y > K) <= 0.9 (1 - T). fmin also caps

@@ -198,6 +198,25 @@ def test_predict_rejects_a_bundle_with_a_bad_fit_entry(tmp_path, data_csv, capsy
     assert not pred_out.exists()
 
 
+def test_predict_refuses_a_row_whose_mean_overflows(tmp_path, data_csv, capsys):
+    model = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv,
+                "--response", "y", "--out", str(model)]) == EXIT_OK
+    bundle = json.loads(model.read_text(encoding="utf-8"))
+    # the row (0, 0) reads the intercept alone: e^(m + s^2/2) = e^733 overflows
+    bundle["fit"]["mean"][0] = -191.25
+    bundle["fit"]["covariance"][0][0] = 1849.0
+    model.write_text(json.dumps(bundle), encoding="utf-8")
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x2\n0.0,0.0\n", encoding="utf-8")
+    pred_out = tmp_path / "pred.json"
+    capsys.readouterr()
+    code = cli(["predict", "--model", str(model), "--data", str(new), "--out", str(pred_out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: predictive mean")
+    assert not pred_out.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_predict_rejects_a_non_finite_covariate(tmp_path, data_csv, capsys, cell):
     out = tmp_path / "fit.json"

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from vbpoisson import mcmc
 from vbpoisson.core import Dataset, Hyperparameters, Method
+from vbpoisson.likelihood import XI_OVERFLOW
 from vbpoisson.mcmc import (
     Chain,
     McmcConfig,
@@ -33,6 +36,14 @@ def test_gig_sampler_matches_closed_form_moments():
         draws = np.array([_gig_half(rng, a, b) for _ in range(200000)])
         assert draws.mean() == pytest.approx(np.sqrt(b / a) + 1.0 / a, rel=0.02)
         assert (1.0 / draws).mean() == pytest.approx(np.sqrt(a / b), rel=0.02)
+
+
+def test_gig_sampler_draws_a_vector_as_its_scalar_calls_would():
+    # the floor applies per element, and a vector call keeps the scalar stream
+    b = np.array([0.0, 1e-14, 0.3, 2.0, 25.0, 1e-3])
+    vector = _gig_half(np.random.default_rng(8), 1.7, b)
+    rng = np.random.default_rng(8)
+    np.testing.assert_array_equal(vector, [_gig_half(rng, 1.7, v) for v in b])
 
 
 def test_accuracy_is_high_for_a_matched_normal():
@@ -105,7 +116,7 @@ def _count_likelihood_calls(monkeypatch):
     inner = mcmc._poisson_loglik
 
     def counted(eta, y):
-        calls.append(1)
+        calls.append(eta.ndim)
         return inner(eta, y)
 
     monkeypatch.setattr(mcmc, "_poisson_loglik", counted)
@@ -122,14 +133,77 @@ def test_gibbs_sweep_reuses_the_cached_likelihood(monkeypatch, model):
 
 
 def test_bernoulli_sweep_starts_from_the_cached_likelihood(monkeypatch):
-    # per iteration: the proposal, one flip per slope, and a fresh evaluation
-    # only when the mask moved
+    # per iteration: the proposal, and a fresh evaluation only when the mask
+    # moved; the sweep scores its flips from the cached eta and likelihood
     ds, _ = _conjugate_dataset()
+    loglik, sweep = mcmc._poisson_loglik, mcmc._flip_sweep
     calls = _count_likelihood_calls(monkeypatch)
+    moves = []
+
+    def checked(x, y, beta, gamma, eta, ll, logit, u):
+        np.testing.assert_array_equal(eta, x @ (gamma * beta))
+        assert ll == loglik(eta, y)
+        out = sweep(x, y, beta, gamma, eta, ll, logit, u)
+        moves.append(out[3])
+        return out
+
+    monkeypatch.setattr(mcmc, "_flip_sweep", checked)
     n_iter = 300
     mc = McmcConfig(iterations=n_iter, burn_in=100, seed=5)
     sample(Method.BERNOULLI, ds, Hyperparameters(), mc)
-    assert n_iter * ds.p + 1 <= len(calls) <= 1 + n_iter * (ds.p + 1)
+    assert len(moves) == n_iter and 0 < sum(moves) < n_iter
+    # the sweep scores its flips on n x k blocks; single evaluations are the rest
+    assert calls.count(1) == 1 + n_iter + sum(moves)
+
+
+def _loglik(eta, y):
+    return -np.inf if np.any(eta > XI_OVERFLOW) else float(y @ eta - np.sum(np.exp(eta)))
+
+
+def _sequential_flip_sweep(x, y, beta, gamma, eta, ll, logit, u):
+    """The mask sweep one slope at a time: score slope j's flip, decide it, move on."""
+    gamma, flipped = gamma.copy(), False
+    for j in range(1, gamma.size):
+        eta_flip = eta + (1.0 - 2.0 * gamma[j]) * beta[j] * x[:, j]
+        ll_flip = _loglik(eta_flip, y)
+        ll_on, ll_off = (ll, ll_flip) if gamma[j] > 0.5 else (ll_flip, ll)
+        delta = ll_on - ll_off + logit[j - 1]
+        new = float(u[j - 1] < 1.0 / (1.0 + np.exp(np.clip(-delta, -700, 700))))
+        if new != gamma[j]:
+            eta, ll, flipped = eta_flip, ll_flip, True
+        gamma[j] = new
+    return gamma, eta, ll, flipped
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    p=st.integers(1, 12),
+    overflow=st.booleans(),
+)
+def test_the_block_mask_sweep_matches_the_sequential_one(seed, n, p, overflow):
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    beta = rng.normal(0.0, 0.5, p)
+    gamma = np.concatenate([[1.0], (rng.random(p - 1) < 0.5).astype(float)])
+    if overflow and p > 1:
+        # switching this slope on pushes some eta past XI_OVERFLOW
+        j = rng.integers(1, p)
+        gamma[j], beta[j] = 0.0, 1e4
+    eta = x @ (gamma * beta)
+    y = rng.poisson(np.exp(np.minimum(eta, 4.0))).astype(float)
+    ll = _loglik(eta, y)
+    assert float(mcmc._poisson_loglik(eta, y)) == ll  # one eta keeps the scalar arithmetic
+    logit, u = rng.normal(0.0, 2.0, p - 1), rng.random(p - 1)
+    args = (x, y, beta, gamma.copy(), eta, ll, logit, u)
+    mask, eta_b, ll_b, flipped = mcmc._flip_sweep(*args)
+    ref_mask, ref_eta, ref_ll, ref_flipped = _sequential_flip_sweep(*args)
+    np.testing.assert_array_equal(mask, ref_mask)
+    assert flipped == ref_flipped
+    np.testing.assert_allclose(eta_b, ref_eta, rtol=1e-12, atol=0.0)
+    assert ll_b == pytest.approx(ref_ll, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(args[3], gamma)  # the caller's mask is left alone
 
 
 def test_chain_column_lookup():

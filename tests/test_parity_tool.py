@@ -155,3 +155,25 @@ def test_the_predictive_grid_records_fields_or_the_error_class(monkeypatch):
     assert sorted(fields["predict.mode"]) == ["grid.0", "grid.1"]
     assert fields["predict.mean"]["grid.1"] == [np.exp(1.0)]
     assert fields["predict.mode"]["grid.1"] == [2.0]  # Poisson(e) peaks at 2
+
+
+def test_a_chain_case_records_its_chain_beside_the_fit():
+    from vbpoisson import harness
+    from vbpoisson.core import Hyperparameters, Method, rho2_for_inclusion
+    train, _, beta = harness.generate(harness.LOW_DIM, np.random.default_rng([2024, 0]))
+    hp = Hyperparameters(rho2=rho2_for_inclusion(np.count_nonzero(beta) / harness.LOW_DIM.p))
+    fields, again = {}, {}
+    for case in ("low0", "low9"):
+        parity._record_fit(fields, case, Method.CS, train, hp)
+    parity._record_fit(again, "low0", Method.CS, train, hp)
+    assert set(fields["result.posterior.mean"]) == {"low0.cs", "low9.cs"}
+    chain_fields = {"chain.draws", "chain.param_names", "chain.acceptance_rate"}
+    assert {name for name in fields if name.startswith("chain.")} == chain_fields
+    assert all(set(fields[name]) == {"low0.cs"} for name in chain_fields)
+    # 100 kept rows of p slopes, p - 1 indicators, tau2 and a
+    p = train.p
+    assert len(fields["chain.draws"]["low0.cs"]) == 100 * (2 * p + 1)
+    assert 0.01 <= fields["chain.acceptance_rate"]["low0.cs"][0] <= 1.0
+    # a rerun is identical, so only a changed sampler can move a chain
+    assert {name: fields[name]["low0.cs"] for name in chain_fields} == {
+        name: again[name]["low0.cs"] for name in chain_fields}

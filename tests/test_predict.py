@@ -14,7 +14,7 @@ from scipy.special import gammaln, wrightomega
 
 import vbpoisson
 from vbpoisson.core import FitResult, GaussianPosterior, Method
-from vbpoisson.errors import TruncationError
+from vbpoisson.errors import NumericalError, TruncationError
 from vbpoisson.predict import (
     _ENUM_CAP,
     _MASS_TARGET,
@@ -243,13 +243,23 @@ def test_a_heavy_row_mean_is_exact_where_its_tail_holds_mean(m, s2):
     assert dist.tail_mass <= 9e-7
 
 
-@pytest.mark.parametrize("m, s2", [(-4.0, 30.0), (2.0, 8.0), (np.log(3e6), 0.0)])
+@pytest.mark.parametrize(
+    "m, s2",
+    # the last rate law sits between the cap and twice the cap
+    [(-4.0, 30.0), (2.0, 8.0), (np.log(3e6), 0.0), (np.log(1.5e6), 1e-6)],
+)
 def test_a_row_past_the_cap_is_refused_before_any_count(m, s2):
     start = time.perf_counter()
     with pytest.raises(TruncationError) as info:
         predictive_distribution(np.array([1.0]), _fit([m], [[s2]]))
     assert time.perf_counter() - start < 0.1
     assert info.value.accumulated_mass == 0.0
+
+
+def test_a_row_whose_mean_overflows_raises_a_numerical_error():
+    # the mass check passes (tail 9.4e-7), but e^(m + s^2/2) = e^733 is past the largest float
+    with pytest.raises(NumericalError, match="overflows"):
+        predictive_distribution(np.array([1.0]), _fit([-191.25], [[1849.0]]))
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,12 @@
     python tools/parity.py --src src --out new.json
     python tools/parity.py --compare old.json new.json --allow elbo_trace@laplace
 
-The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets;
-a fixed grid of 24 library predictive rows; `fit` (3 methods, standardised or
-not) on two 2000x30 and two 150x4 CSVs, with `predict` on each bundle;
-`simulate` `low` (3 reps) and `high` (1 rep). The manifest holds every leaf of
-every FitResult, sparse record and bundle, every cell of the `simulate` raw
+The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets,
+with a 1,500-iteration chain per engine on `low` t < 3; a fixed grid of 24
+library predictive rows; `fit` (3 methods, standardised or not) on two
+2000x30 and two 150x4 CSVs, with `predict` on each bundle; `simulate` `low`
+(3 reps) and `high` (1 rep). The manifest holds every leaf of every
+FitResult, sparse record, chain and bundle, every cell of the `simulate` raw
 tables and every field of each `predict` row (a grid row that raises records
 its error class instead), each keyed by its case (`low0.cs`, `grid.7`,
 `d1-laplace.bundle`, `low.laplace.2`, `d1-laplace.17`); and a sha256 of every
@@ -68,6 +69,23 @@ def _library_cases():
         beta[[2, 5]] = rng.normal(0.7, 0.3, size=2)
         y = rng.poisson(np.exp(np.clip(x @ beta, None, 6.0))).astype(float)
         yield f"ascent{s}", Dataset(x, y), Hyperparameters()
+
+
+_CHAIN_CASES = ("low0", "low1", "low2")
+
+
+def _record_fit(fields, case, method, data, hp):
+    """Record one engine's fit and sparse record and, on a chain case, a short
+    chain proposing with the fit's covariance."""
+    from vbpoisson import harness, mcmc, sparsify
+    fit = harness.FITTERS[method](data, hp)
+    key = f"{case}.{method.value}"
+    _record(fields, key, "result", fit)
+    _record(fields, key, "sparse", sparsify.sparsify(fit, data))
+    if case in _CHAIN_CASES:
+        config = mcmc.McmcConfig(iterations=1500, burn_in=500)
+        chain = mcmc.sample(method, data, hp, config, proposal_cov=fit.posterior.covariance)
+        _record(fields, key, "chain", chain)
 
 
 # (m, s^2, level) of one-coefficient predictive rows: light rate laws, heavy
@@ -167,15 +185,13 @@ def _cli_cases(fields, files):
 
 def run(src):
     sys.path.insert(0, os.path.abspath(src))
-    from vbpoisson import harness, sparsify
+    from vbpoisson import harness
     if not harness.__file__.startswith(os.path.abspath(src)):
         raise SystemExit(f"imported vbpoisson from {harness.__file__}, not from {src}")
     fields, files = {}, {}
     for case, data, hp in _library_cases():
-        for method, fitter in harness.FITTERS.items():
-            fit = fitter(data, hp)
-            _record(fields, f"{case}.{method.value}", "result", fit)
-            _record(fields, f"{case}.{method.value}", "sparse", sparsify.sparsify(fit, data))
+        for method in harness.FITTERS:
+            _record_fit(fields, case, method, data, hp)
     _predict_grid(fields)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
