@@ -45,6 +45,8 @@ class Chain:
 def _poisson_loglik(eta: np.ndarray, y: np.ndarray):
     """The log-likelihood up to a constant of eta, or of each column of an n x k
     eta; -inf where eta passes XI_OVERFLOW (its exp is capped there, unused)."""
+    if eta.ndim == 1:
+        return -np.inf if eta.max() > XI_OVERFLOW else float(y @ eta - np.exp(eta).sum())
     ll = y @ eta - np.exp(np.minimum(eta, XI_OVERFLOW)).sum(axis=0)
     return np.where((eta > XI_OVERFLOW).any(axis=0), -np.inf, ll)
 
@@ -52,17 +54,23 @@ def _poisson_loglik(eta: np.ndarray, y: np.ndarray):
 _VAR_FLOOR = 1e-12
 
 
-def _inv_gamma(rng: np.random.Generator, shape: float, rate: float) -> float:
-    # floor both pieces so early iterations with all-zero coefficients cannot
-    # collapse a variance to exactly zero
-    return max(rate, _VAR_FLOOR) / max(rng.gamma(shape), _VAR_FLOOR)
+def _inv_gamma(g: float, rate: float) -> float:
+    """rate / g for a standard-gamma draw g; both are floored so that early
+    all-zero coefficients cannot collapse a variance to exactly zero."""
+    return max(rate, _VAR_FLOOR) / max(g, _VAR_FLOOR)
 
 
-def _gig_half(rng: np.random.Generator, a: float, b: float | np.ndarray):
-    """Draw from GIG(order 1/2, a, b) via the reciprocal inverse Gaussian; a
-    vector `b` gives one draw per element, in order."""
-    b = np.maximum(b, 1e-12)
-    return 1.0 / rng.wald(np.sqrt(a / b), a)
+def _gig_half(a: float, b: np.ndarray, normal: np.ndarray, uniform: np.ndarray):
+    """GIG(order 1/2, a, b) draws, one per element of `b`: the reciprocals of
+    inverse Gaussian draws of mean m = sqrt(a / b) and shape a, by numpy's
+    transform of one standard normal and one uniform per element (Michael,
+    Schucany & Haas 1976). Its root is m / q, q = (r + sqrt(r² + 4a))² / 4a
+    with r = |normal|·sqrt(m), written without numpy's cancellation at large
+    m; it is kept if uniform ≤ q / (1 + q), else m·q is drawn."""
+    mean = np.sqrt(a / np.maximum(b, 1e-12))
+    r = np.abs(normal) * np.sqrt(mean)
+    q = (r + np.sqrt(r * r + 4.0 * a)) ** 2 / (4.0 * a)
+    return np.where(uniform <= q / (1.0 + q), q, 1.0 / q) / mean
 
 
 def _flip_sweep(x, y, beta, gamma, eta, ll, logit, u):
@@ -92,51 +100,51 @@ def _flip_sweep(x, y, beta, gamma, eta, ll, logit, u):
 
 
 def sample(
-    model: Method,
-    dataset: Dataset,
-    hp: Hyperparameters | None = None,
-    mc: McmcConfig | None = None,
-    proposal_cov: np.ndarray | None = None,
+    model: Method, dataset: Dataset, hp: Hyperparameters | None = None,
+    mc: McmcConfig | None = None, proposal_cov: np.ndarray | None = None
 ) -> Chain:
     """Run one chain targeting the exact posterior of the chosen model.
 
     Each iteration is a random-walk Metropolis move on β, stepping by
-    `_STEP_SCALE` times the Cholesky factor of `proposal_cov` (the identity
-    without one) adapted per burn-in window (Roberts & Rosenthal, 2009), then
-    the model's Gibbs sweep, which returns whether it moved the mask `gamma`.
+    `_STEP_SCALE` times the Cholesky factor of `proposal_cov` (without one,
+    of the inverse of XᵀWX + I at the start, W = e^(Xβ)) adapted per burn-in
+    window (Roberts & Rosenthal, 2009), then the model's Gibbs sweep, which
+    returns β's prior precision and whether it moved the mask `gamma`. Each
+    window draws its moves, uniforms and Gibbs variates in a few block calls.
+    The weights πⱼ are integrated out (Liu 1994): each slope's prior odds of
+    inclusion are ρ₁/ρ₂.
     """
     hp = hp or Hyperparameters()
     mc = mc or McmcConfig()
     rng = np.random.default_rng(mc.seed)
     x, y, p = dataset.design, dataset.response, dataset.p
-    chol = np.linalg.cholesky(proposal_cov) if proposal_cov is not None else np.eye(p)
-    step = _STEP_SCALE
     # start at a ridge regression on log1p counts; an all-zero start lets the
     # scale draws collapse toward zero and pin the walk there
     beta = np.linalg.solve(x.T @ x + np.eye(p), x.T @ np.log1p(y))
-    # only the Bernoulli sweep moves the mask off all ones; 1.0 * b is exact
-    gamma = np.ones(p)
-
-    def likelihood(b):
-        eta = x @ (gamma * b)
-        return eta, float(_poisson_loglik(eta, y))
+    if proposal_cov is None:  # the Laplace approximation's covariance at the start
+        w = np.exp(np.minimum(x @ beta, XI_OVERFLOW))
+        proposal_cov = np.linalg.inv((x.T * w) @ x + np.eye(p))
+    chol = np.linalg.cholesky(proposal_cov)
+    step = _STEP_SCALE
+    # only the Bernoulli model moves the mask off all ones (1.0 * b is exact)
+    # or starts β's prior precision away from 1
+    gamma, prec = np.ones(p), np.ones(p)
 
     if model is Method.LAPLACE:
-        tau = np.ones(p)
-        eta = hp.nu / hp.delta
-        a_var = hp.A
+        tau, eta, a_var = np.ones(p), hp.nu / hp.delta, hp.A
 
-        def log_prior(b):
-            return -0.5 * float(np.sum(b**2 / tau))
+        def variates(n):
+            return (rng.standard_normal((n, p - 1)), rng.random((n, p - 1)),
+                    rng.standard_exponential((n, 2)).tolist(),
+                    rng.standard_gamma(p + hp.nu - 1.0, n).tolist())
 
-        def gibbs():
+        def gibbs(v, i):
             nonlocal eta, a_var
-            tau[1:] = _gig_half(rng, eta, beta[1:] ** 2)
-            tau[0] = _inv_gamma(rng, 1.0, 0.5 * beta[0] ** 2 + 1.0 / a_var)
-            rate = hp.delta + 0.5 * np.sum(tau[1:])
-            eta = rng.gamma(p + hp.nu - 1.0) / rate
-            a_var = _inv_gamma(rng, 1.0, 1.0 / tau[0] + 1.0 / hp.A)
-            return False
+            tau[1:] = _gig_half(eta, beta[1:] ** 2, v[0][i], v[1][i])
+            tau[0] = _inv_gamma(v[2][i][0], 0.5 * beta[0] ** 2 + 1.0 / a_var)
+            eta = v[3][i] / (hp.delta + 0.5 * tau[1:].sum())
+            a_var = _inv_gamma(v[2][i][1], 1.0 / tau[0] + 1.0 / hp.A)
+            return 1.0 / tau, False
 
         def snapshot():
             return np.concatenate([beta, tau, [eta, a_var]])
@@ -144,31 +152,23 @@ def sample(
         names = [f"beta{j}" for j in range(p)] + [f"tau{j}" for j in range(p)] + ["eta", "a"]
 
     elif model is Method.CS:
-        z = np.ones(p)
-        pi = np.full(p, 0.5)
-        tau2 = 1.0
-        a_var = hp.A
+        z, tau2, a_var = np.ones(p), 1.0, hp.A
+        # slab against spike log odds of slope j: base + spread * beta_j^2 / tau2
+        base, spread = np.log(hp.rho1 / hp.rho2) + 0.5 * np.log(hp.c), 0.5 * (1.0 / hp.c - 1.0)
 
-        def log_prior(b):
-            v = np.where(z > 0.5, tau2, hp.c * tau2)
-            v[0] = tau2
-            return -0.5 * float(np.sum(b**2 / v))
+        def variates(n):
+            return (rng.random((n, p - 1)), rng.standard_gamma(0.5 + p / 2.0, n).tolist(),
+                    rng.standard_exponential(n).tolist())
 
-        def gibbs():
+        def gibbs(v, i):
             nonlocal tau2, a_var
-            # given β the indicators are independent: slab vs spike odds for
-            # all of them, each from its old πⱼ, then all πⱼ from the new ones
-            b2 = beta[1:] ** 2
-            l1 = -0.5 * np.log(tau2) - 0.5 * b2 / tau2 + np.log(pi[1:])
-            l0 = -0.5 * np.log(hp.c * tau2) - 0.5 * b2 / (hp.c * tau2) + np.log(1.0 - pi[1:])
-            z[1:] = rng.random(p - 1) < 1.0 / (1.0 + np.exp(np.clip(l0 - l1, -700, 700)))
-            pi[1:] = rng.beta(hp.rho1 + z[1:], hp.rho2 + 1.0 - z[1:])
+            # given β the indicators are independent (George & McCulloch 1993)
+            odds = base + spread * beta[1:] ** 2 / tau2
+            z[1:] = v[0][i] < 1.0 / (1.0 + np.exp(np.clip(-odds, -700, 700)))
             scale = np.where(z > 0.5, 1.0, hp.c)
-            scale[0] = 1.0
-            rate = 1.0 / a_var + 0.5 * float(np.sum(beta**2 / scale))
-            tau2 = _inv_gamma(rng, 0.5 + p / 2.0, rate)
-            a_var = _inv_gamma(rng, 1.0, 1.0 / tau2 + 1.0 / hp.A)
-            return False
+            tau2 = _inv_gamma(v[1][i], 1.0 / a_var + 0.5 * float(beta @ (beta / scale)))
+            a_var = _inv_gamma(v[2][i], 1.0 / tau2 + 1.0 / hp.A)
+            return 1.0 / (scale * tau2), False
 
         def snapshot():
             return np.concatenate([beta, z[1:], [tau2, a_var]])
@@ -176,22 +176,19 @@ def sample(
         names = [f"beta{j}" for j in range(p)] + [f"z{j}" for j in range(1, p)] + ["tau2", "a"]
 
     elif model is Method.BERNOULLI:
-        pi = np.full(p, 0.5)
-        alpha = hp.a_gamma / hp.b_gamma
+        logit = np.full(p - 1, np.log(hp.rho1 / hp.rho2))
+        prec *= hp.a_gamma / hp.b_gamma
 
-        def log_prior(b):
-            return -0.5 * float(np.sum(alpha * b**2))
+        def variates(n):
+            return rng.standard_gamma(hp.a_gamma + 0.5, (n, p)), rng.random((n, p - 1))
 
-        def gibbs():
-            nonlocal alpha
-            alpha = rng.gamma(hp.a_gamma + 0.5, size=p) / (hp.b_gamma + 0.5 * beta**2)
+        def gibbs(v, i):
+            alpha = v[0][i] / (hp.b_gamma + 0.5 * beta**2)
             # β has not moved since the loop last evaluated it, so the cached
             # likelihood is one side of each flip; only the other side is new
-            logit = np.log(pi[1:]) - np.log(1.0 - pi[1:])
             gamma[:], _, _, flipped = _flip_sweep(x, y, beta, gamma, cur_eta, cur_ll, logit,
-                                                  rng.random(p - 1))
-            pi[1:] = rng.beta(hp.rho1 + gamma[1:], hp.rho2 + 1.0 - gamma[1:])
-            return flipped
+                                                  v[1][i])
+            return alpha, flipped
 
         def snapshot():
             return np.concatenate([beta, gamma[1:]])
@@ -201,34 +198,36 @@ def sample(
     else:
         raise ValueError(f"unsupported model: {model}")
 
-    kept, window_acc, post_acc = [], 0, 0
-    cur_eta, cur_ll = likelihood(beta)
-    cur_lp = cur_ll + log_prior(beta)
-    for it in range(mc.iterations):
-        prop = beta + step * (chol @ rng.standard_normal(p))
-        prop_eta, prop_ll = likelihood(prop)
-        accepted = bool(np.log(rng.random()) < prop_ll + log_prior(prop) - cur_lp)
-        if accepted:
-            beta, cur_eta, cur_ll = prop, prop_eta, prop_ll
-        if it >= mc.burn_in:
-            post_acc += accepted
-        else:
-            window_acc += accepted
-            if (it + 1) % _ADAPT_WINDOW == 0:
-                rate = window_acc / _ADAPT_WINDOW
-                if rate < _TARGET_LOW:
-                    step *= 0.7
-                elif rate > _TARGET_HIGH:
-                    step *= 1.4
-                window_acc = 0
-        # the sweep never moves β; a moved mask is evaluated afresh rather
-        # than taken from the sweep's running update, which rounds differently
-        if gibbs():
-            cur_eta, cur_ll = likelihood(beta)
-        cur_lp = cur_ll + log_prior(beta)
-        if it >= mc.burn_in and (it - mc.burn_in) % mc.thin == 0:
-            kept.append(snapshot())
-    rate = post_acc / (mc.iterations - mc.burn_in)
+    kept, keep = [], range(mc.burn_in, mc.iterations)[::mc.thin]
+    accepted = np.zeros(mc.iterations, dtype=bool)
+    cur_eta = x @ (gamma * beta)
+    cur_ll = _poisson_loglik(cur_eta, y)
+    cur_lp = cur_ll - 0.5 * float(beta @ (prec * beta))
+    for start in range(0, mc.iterations, _ADAPT_WINDOW):
+        n = min(_ADAPT_WINDOW, mc.iterations - start)
+        moves = rng.standard_normal((n, p)) @ (step * chol.T)
+        log_u = np.log(rng.random(n)).tolist()
+        v = variates(n)
+        for i in range(n):
+            prop = beta + moves[i]
+            prop_eta = x @ (gamma * prop)
+            prop_ll = _poisson_loglik(prop_eta, y)
+            if log_u[i] < prop_ll - 0.5 * float(prop @ (prec * prop)) - cur_lp:
+                beta, cur_eta, cur_ll = prop, prop_eta, prop_ll
+                accepted[start + i] = True
+            # the sweep never moves β; a moved mask is evaluated afresh rather
+            # than taken from the sweep's running update, which rounds differently
+            prec, moved = gibbs(v, i)
+            if moved:
+                cur_eta = x @ (gamma * beta)
+                cur_ll = _poisson_loglik(cur_eta, y)
+            cur_lp = cur_ll - 0.5 * float(beta @ (prec * beta))
+            if start + i in keep:
+                kept.append(snapshot())
+        if start + n <= mc.burn_in:
+            rate = accepted[start:start + n].mean()
+            step *= 0.7 if rate < _TARGET_LOW else 1.4 if rate > _TARGET_HIGH else 1.0
+    rate = accepted[mc.burn_in:].mean()
     if rate < 0.01:
         raise TuningError("post-adaptation acceptance rate below 1 percent")
     return Chain(draws=np.array(kept), param_names=names, acceptance_rate=float(rate))

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import logsumexp
 
 from vbpoisson import mcmc
-from vbpoisson.core import Dataset, Hyperparameters, Method
+from vbpoisson.core import Dataset, Hyperparameters, Method, rho2_for_inclusion
+from vbpoisson.harness import LOW_DIM, generate
 from vbpoisson.likelihood import XI_OVERFLOW
 from vbpoisson.mcmc import (
+    _TARGET_LOW,
     Chain,
     McmcConfig,
     _gig_half,
@@ -32,18 +35,27 @@ def test_config_validation():
 def test_gig_sampler_matches_closed_form_moments():
     # order-1/2 draws: E(t) = sqrt(b/a) + 1/a and E(1/t) = sqrt(a/b)
     rng = np.random.default_rng(14)
+    n = 200000
     for a, b in [(1.0, 1.0), (2.0, 0.5), (0.7, 3.0)]:
-        draws = np.array([_gig_half(rng, a, b) for _ in range(200000)])
+        draws = _gig_half(a, np.full(n, b), rng.standard_normal(n), rng.random(n))
         assert draws.mean() == pytest.approx(np.sqrt(b / a) + 1.0 / a, rel=0.02)
         assert (1.0 / draws).mean() == pytest.approx(np.sqrt(a / b), rel=0.02)
 
 
-def test_gig_sampler_draws_a_vector_as_its_scalar_calls_would():
-    # the floor applies per element, and a vector call keeps the scalar stream
-    b = np.array([0.0, 1e-14, 0.3, 2.0, 25.0, 1e-3])
-    vector = _gig_half(np.random.default_rng(8), 1.7, b)
+def test_gig_sampler_is_the_reciprocal_of_numpys_wald_draw():
+    # a normal and then a uniform per element is the stream Generator.wald
+    # draws from; the transform matches it over Wald means 1e-3 to 1e4
+    a = 1.7
+    b = a / np.geomspace(1e-3, 1e4, 200) ** 2
     rng = np.random.default_rng(8)
-    np.testing.assert_array_equal(vector, [_gig_half(rng, 1.7, v) for v in b])
+    normal, uniform = np.array([(rng.standard_normal(), rng.random()) for _ in b]).T
+    draws = _gig_half(a, b, normal, uniform)
+    rng = np.random.default_rng(8)
+    wald = [rng.wald(np.sqrt(a / v), a) for v in b]
+    np.testing.assert_allclose(1.0 / draws, wald, rtol=1e-9, atol=0.0)
+    # b is floored at 1e-12 per element
+    floored = _gig_half(a, np.array([0.0, 1e-14, 1e-12]), normal[:3], uniform[:3])
+    np.testing.assert_array_equal(floored, _gig_half(a, np.full(3, 1e-12), normal[:3], uniform[:3]))
 
 
 def test_accuracy_is_high_for_a_matched_normal():
@@ -100,15 +112,67 @@ def test_short_chains_recover_strong_signals(model):
     b1 = chain.column("beta1")
     assert abs(b0.mean() - beta[0]) < 0.3
     assert abs(b1.mean() - beta[1]) < 0.3
+    if model is not Method.LAPLACE:  # the strong slope stays in the slab
+        assert chain.column({Method.CS: "z1", Method.BERNOULLI: "gamma1"}[model]).mean() > 0.9
 
 
-def test_sampler_is_deterministic_for_a_fixed_seed():
+@pytest.mark.parametrize("model", list(Method))
+def test_sampler_is_deterministic_for_a_fixed_seed(model):
+    # the window of iterations 100-199 straddles the end of burn-in, and the
+    # last window (1000-1036) is partial
     ds, _ = _conjugate_dataset()
-    mc = McmcConfig(iterations=600, burn_in=200, thin=2, seed=11)
-    a = sample(Method.LAPLACE, ds, Hyperparameters(), mc)
-    b = sample(Method.LAPLACE, ds, Hyperparameters(), mc)
+    mc = McmcConfig(iterations=1037, burn_in=130, thin=7, seed=11)
+    a = sample(model, ds, Hyperparameters(), mc)
+    b = sample(model, ds, Hyperparameters(), mc)
     np.testing.assert_array_equal(a.draws, b.draws)
     assert a.acceptance_rate == b.acceptance_rate
+    assert a.draws.shape[0] == len(range(130, 1037, 7))
+
+
+@pytest.mark.parametrize("model", list(Method))
+@pytest.mark.parametrize("burn_in", [250, 0])
+def test_the_default_proposal_tunes_a_short_burn_in(model, burn_in):
+    # `low` replication 0 without a proposal covariance: stepping by the
+    # identity, these chains accepted under 3% of their moves, or under 1%
+    # and raised TuningError
+    train, _, beta = generate(LOW_DIM, np.random.default_rng([2024, 0]))
+    hp = Hyperparameters(rho2=rho2_for_inclusion(np.count_nonzero(beta) / LOW_DIM.p))
+    chain = sample(model, train, hp, McmcConfig(iterations=1500, burn_in=burn_in, thin=3, seed=11))
+    assert chain.acceptance_rate > _TARGET_LOW
+
+
+def test_integrating_pi_out_keeps_the_inclusion_posterior():
+    # one slope: P(gamma1 = 1 | y) by quadrature over (beta0, beta1), each with
+    # its marginal Student-t prior (2a degrees of freedom, scale sqrt(b/a)),
+    # against the chain's inclusion frequency
+    rng = np.random.default_rng(3)
+    x1 = rng.standard_normal(25)
+    y = rng.poisson(np.exp(0.5 + 0.25 * x1)).astype(float)
+    hp = Hyperparameters(a_gamma=3.0, b_gamma=3.0, rho2=2.0)
+    grid = np.linspace(-2.0, 2.5, 301)
+    log_t = stats.t.logpdf(grid, 2.0 * hp.a_gamma, scale=np.sqrt(hp.b_gamma / hp.a_gamma))
+    eta_on = grid[:, None, None] + grid[None, :, None] * x1
+    on = (y * eta_on - np.exp(eta_on)).sum(-1) + log_t[:, None] + log_t[None, :]
+    eta_off = grid[:, None] + 0.0 * x1
+    off = (y * eta_off - np.exp(eta_off)).sum(-1) + log_t
+    log_odds = (np.log(hp.rho1 / hp.rho2) + logsumexp(on) - logsumexp(off)
+                + np.log(grid[1] - grid[0]))
+    oracle = 1.0 / (1.0 + np.exp(-log_odds))
+    assert oracle == pytest.approx(0.0962, abs=1e-4)
+    ds = Dataset(np.column_stack([np.ones(25), x1]), y)
+    freq = np.mean([
+        sample(Method.BERNOULLI, ds, hp, McmcConfig(20000, 2000, 1, seed)).column("gamma1").mean()
+        for seed in (0, 1)
+    ])
+    # over 8 seed pairs the mean of two such chains had a Monte Carlo sd of
+    # 0.005, so this is 5 sd; the prior odds alone would give 1/3
+    assert freq == pytest.approx(oracle, abs=0.025)
+
+
+def test_one_eta_loglik_is_minus_inf_past_the_overflow_guard():
+    y = np.array([1.0, 2.0])
+    assert mcmc._poisson_loglik(np.array([0.5, XI_OVERFLOW + 1.0]), y) == -np.inf
+    assert mcmc._poisson_loglik(np.array([0.5, XI_OVERFLOW]), y) > -np.inf
 
 
 def _count_likelihood_calls(monkeypatch):
