@@ -15,11 +15,12 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import refresh
-from .special_math import digamma, log_gamma, sigmoid
+from .special_math import digamma, log_gamma
 
 # Inclusion probabilities move only half way toward their coordinate optimum.
 # The bound is concave in each probability, so the partial step still ascends,
@@ -105,8 +106,8 @@ def update_pi(state, hp: Hyperparameters) -> None:
 
 
 def damped_step(p_incl, arg):
-    """Inclusion probabilities moved part of the way toward sigmoid(arg)."""
-    return (1.0 - _DAMPING) * p_incl + _DAMPING * sigmoid(arg)
+    """Inclusion probabilities moved part of the way toward expit(arg)."""
+    return (1.0 - _DAMPING) * p_incl + _DAMPING * expit(arg)
 
 
 def _entropy_bernoulli(p: np.ndarray) -> float:

@@ -47,11 +47,12 @@ def validate(dataset: Dataset) -> list[str]:
         diags.append("non-finite design entry")
     elif not np.allclose(x[:, 0], 1.0, rtol=0.0, atol=0.0):
         diags.append("intercept column not constant one")
-    if y.size and np.any(y < 0):
+    finite = y[np.isfinite(y)]
+    if np.any(finite < 0):
         diags.append("negative count")
-    if y.size and np.any(y != np.round(y)):
+    if np.any(finite != np.round(finite)):
         diags.append("non-integer count")
-    if y.size and not np.all(np.isfinite(y)):
+    if finite.size != y.size:
         diags.append("non-finite response entry")
     if not diags:
         stds = x[:, 1:].std(axis=0) if x.shape[1] > 1 else np.array([])

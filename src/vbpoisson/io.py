@@ -177,9 +177,10 @@ def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
         if meta["method"] not in {m.value for m in Method}:
             raise ParseError(f"{path}: model bundle's 'method' entry {meta['method']!r} "
                              "is not a method name")
-        if not isinstance(meta["columns"], list):
-            raise ParseError(f"{path}: model bundle's 'columns' entry is not a list")
-        p = len(meta["columns"])
+        columns = meta["columns"]
+        if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+            raise ParseError(f"{path}: model bundle's 'columns' entry is not a list of names")
+        p = len(columns)
 
         def posterior(mean_key, cov_key):
             cov = _entry(path, fit_d, cov_key, (p, p))
@@ -192,6 +193,8 @@ def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
         interval = None
         if "interval_mean" in fit_d:
             interval = posterior("interval_mean", "interval_covariance")
+        if not isinstance(fit_d["hyper_expectations"], dict):
+            raise ParseError(f"{path}: model bundle's 'hyper_expectations' entry is not a mapping")
         fit = FitResult(
             method=Method(meta["method"]),
             posterior=posterior("mean", "covariance"),
@@ -205,8 +208,14 @@ def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
             converged=fit_d["converged"],
             interval_posterior=interval,
         )
+        names = [f.name for f in dataclasses.fields(SparseCoefficients)]
+        unknown = sorted(set(sp) - set(names))
+        if unknown:
+            raise ParseError(f"{path}: model bundle's 'sparse' block has an unknown "
+                             f"{unknown[0]!r} entry")
         arrays = {k: _entry(path, sp, k, (p,)) for k in ("beta_hat", "p_binary")}
-        sparse = SparseCoefficients(**{**sp, **arrays, "support": tuple(sp["support"])})
+        known = {k: sp[k] for k in names}
+        sparse = SparseCoefficients(**{**known, **arrays, "support": tuple(sp["support"])})
     except KeyError as exc:
         raise ParseError(f"{path}: model bundle has no {exc.args[0]!r} entry") from None
     return fit, sparse, bundle

@@ -11,7 +11,7 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import GigParams, digamma, gig_moments, log_bessel_k_half
+from .special_math import digamma, gig_moments, log_bessel_k_half
 from .special_math import gamma_entropy, inv_gamma_entropy
 
 
@@ -77,7 +77,7 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
     e_eta = (d_diag.shape[0] + hp.nu - 1.0) / rate_eta
     e_tau = state.e_tau.copy()
     e_tau_inv = state.e_tau_inv.copy()
-    e_tau[1:], e_tau_inv[1:], e_log_tau = gig_moments(GigParams(a=e_eta, b=d_diag[1:]))
+    e_tau[1:], e_tau_inv[1:], e_log_tau = gig_moments(e_eta, d_diag[1:])
     rate_tau0 = 0.5 * d_diag[0] + state.e_a_inv
     e_tau_inv[0] = 1.0 / rate_tau0
     rate_a = e_tau_inv[0] + 1.0 / hp.A

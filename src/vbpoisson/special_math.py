@@ -1,15 +1,15 @@
-"""Special functions and 1-D quadrature shared by the fit engines.
+"""Special functions and 1-D quadrature that scipy lacks as such.
 
-The GIG(1/2) moments take scalars or arrays and are closed forms throughout:
-the half-integer Bessel ratio for the mean and inverse mean, and the
-exponential integral for the log-moment. All functions here are pure; they
-hold no state and may be called from any number of concurrent contexts.
+`digamma` and `log_gamma` refuse arguments that are not positive;
+`gamma_entropy` and `inv_gamma_entropy` are the entropies of Gamma and
+inverse-Gamma factors; `log_bessel_k_half` and `gig_moments` (the GIG(1/2)
+mean, inverse mean and log-moment) are closed forms; `integrate_1d` is
+adaptive Simpson quadrature on a finite interval. All are pure functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -17,13 +17,10 @@ from scipy import special as _sp
 from .errors import IntegrationError
 
 __all__ = [
-    "GigParams",
     "digamma",
     "log_gamma",
     "gamma_entropy",
     "inv_gamma_entropy",
-    "sigmoid",
-    "bessel_k_half_ratio",
     "log_bessel_k_half",
     "gig_moments",
     "integrate_1d",
@@ -63,27 +60,12 @@ def inv_gamma_entropy(shape, rate):
     return -shape * np.log(rate) + log_gamma(shape) + (shape + 1.0) * e_log + rate * (shape / rate)
 
 
-def sigmoid(v):
-    """Logistic function 1/(1+exp(-v)); saturates cleanly for huge |v|."""
-    return _sp.expit(v)
-
-
-def bessel_k_half_ratio(x):
-    """K_{3/2}(x) / K_{1/2}(x), which reduces to 1 + 1/x for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_k_half_ratio requires x > 0")
-    out = 1.0 + 1.0 / x
-    return float(out) if out.ndim == 0 else out
-
-
 def log_bessel_k_half(x):
     """log K_{1/2}(x) via the closed form 0.5*log(pi/(2x)) - x."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("log_bessel_k_half requires x > 0")
-    out = 0.5 * np.log(np.pi / (2.0 * x)) - x
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * np.log(np.pi / (2.0 * x)) - x
 
 
 def _exp_e1(z):
@@ -105,43 +87,26 @@ def _exp_e1(z):
     return out
 
 
-@dataclass(frozen=True)
-class GigParams:
-    """Parameters of order-1/2 generalized inverse Gaussian distributions.
-
-    `a` is the rate-like parameter and `b` the inverse-scale-like one
-    (density ~ x^{-1/2} e^{-(ax+b/x)/2}). Either may be an array; the two
-    broadcast against each other.
-    """
-
-    a: float | np.ndarray
-    b: float | np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all((value > 0.0) & np.isfinite(value)):
-                raise ValueError(f"GigParams.{name} must be positive and finite")
-
-
-def gig_moments(p: GigParams):
+def gig_moments(a, b):
     """Mean, inverse-moment and log-moment of GIG(1/2, a, b) variables.
 
-    With r = sqrt(ab), the mean and inverse mean follow from the Bessel
-    ratio K_{3/2}(r)/K_{1/2}(r) = 1 + 1/r. The log-moment is
-    0.5*log(b/a) plus the order derivative of log K_t(r) at t = 1/2, which
-    equals e^{2r} E1(2r) (DLMF 10.38.7). Scalar parameters give floats,
-    array parameters arrays of their broadcast shape.
+    `a` is the rate-like parameter and `b` the inverse-scale-like one
+    (density ~ x^{-1/2} e^{-(ax+b/x)/2}); either may be an array, and the
+    moments have their broadcast shape. With r = sqrt(ab), the mean and
+    inverse mean follow from the Bessel ratio K_{3/2}(r)/K_{1/2}(r) = 1 + 1/r.
+    The log-moment is 0.5*log(b/a) plus the order derivative of log K_t(r)
+    at t = 1/2, which equals e^{2r} E1(2r) (DLMF 10.38.7).
     """
-    a = np.asarray(p.a, dtype=float)
-    b = np.asarray(p.b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    for name, value in (("a", a), ("b", b)):
+        if not np.all((value > 0.0) & np.isfinite(value)):
+            raise ValueError(f"gig_moments: {name} must be positive and finite")
     root = np.sqrt(a * b)
-    ratio = bessel_k_half_ratio(root)
+    ratio = 1.0 + 1.0 / root
     mean = np.sqrt(b / a) * ratio
     inv_mean = np.sqrt(a / b) * ratio - 1.0 / b
     log_mean = 0.5 * np.log(b / a) + _exp_e1(2.0 * root)
-    if mean.ndim == 0:
-        return float(mean), float(inv_mean), float(log_mean)
     return mean, inv_mean, log_mean
 
 
@@ -183,10 +148,7 @@ def integrate_1d(f, lower, upper, tol):
         raise ValueError("bounds must be finite")
     if not lower < upper:
         raise ValueError("lower must be below upper")
-    return _integrate_finite(f, float(lower), float(upper), tol)
-
-
-def _integrate_finite(f, a, b, tol):
+    a, b = float(lower), float(upper)
     # Rough composite-Simpson pass fixes the absolute-error scale and seeds
     # the refinement with interior structure the first bisection could miss.
     n = 64

@@ -143,3 +143,10 @@ def test_a_divergence_is_reported(fit, reason):
 def test_fits_reject_an_empty_dataset(fit, shape):
     with pytest.raises(ValueError, match="non-empty"):
         fit(Dataset(np.ones(shape), np.zeros(shape[0])))
+
+
+def test_damped_step_saturates_cleanly_at_huge_arguments():
+    # half way from p = 0.5 toward the logistic of -800, 0 and 800
+    with np.errstate(all="raise"):
+        step = cavi.damped_step(np.full(3, 0.5), np.array([-800.0, 0.0, 800.0]))
+    np.testing.assert_array_equal(step, [0.25, 0.5, 0.75])

@@ -142,6 +142,8 @@ def test_predict_rejects_a_malformed_bundle(tmp_path, capsys, text, message):
     [
         (lambda meta: meta.pop("columns"), "no 'columns' entry"),
         (lambda meta: meta.update(method="lasso"), "'method' entry 'lasso' is not a method name"),
+        (lambda meta: meta.update(columns=meta["columns"][:-1] + [7]),
+         "'columns' entry is not a list of names"),
     ],
 )
 def test_predict_rejects_a_bundle_with_a_bad_metadata_entry(
@@ -177,8 +179,15 @@ def _set_first_variance(value):
         (lambda b: b["sparse"]["p_binary"].pop(), "'p_binary' entry is not 3 finite numbers"),
         (_set_first_variance(float("nan")), "'covariance' entry is not 3x3 finite numbers"),
         (_set_first_variance(-0.5), "'covariance' entry has a negative variance"),
+        (lambda b: b["sparse"].pop("kappa"), "no 'kappa' entry"),
+        (lambda b: b["sparse"].pop("aic"), "no 'aic' entry"),
+        (lambda b: b["sparse"].pop("df"), "no 'df' entry"),
+        (lambda b: b["sparse"].update(extra=1), "'sparse' block has an unknown 'extra' entry"),
+        (lambda b: b["fit"].update(hyper_expectations=[1.0]),
+         "'hyper_expectations' entry is not a mapping"),
     ],
-    ids=["short-mean", "short-p_binary", "nan-covariance", "negative-variance"],
+    ids=["short-mean", "short-p_binary", "nan-covariance", "negative-variance",
+         "no-kappa", "no-aic", "no-df", "extra-sparse-key", "hyper-expectations-list"],
 )
 def test_predict_rejects_a_bundle_with_a_bad_fit_entry(tmp_path, data_csv, capsys, edit, message):
     model = tmp_path / "fit.json"

@@ -47,6 +47,14 @@ def test_validate_flags_bad_counts():
     assert any("non-integer" in d for d in validate(Dataset(ds.design, y)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_gives_a_non_finite_count_one_diagnostic(value):
+    ds = _clean_dataset()
+    y = ds.response.copy()
+    y[2] = value
+    assert validate(Dataset(ds.design, y)) == ["non-finite response entry"]
+
+
 def test_validate_flags_constant_column():
     ds = _clean_dataset(p=3)
     x = ds.design.copy()

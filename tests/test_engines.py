@@ -14,7 +14,7 @@ from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.harness import LOW_DIM, generate
 from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_laplace
 from vbpoisson.likelihood import refresh
-from vbpoisson.special_math import GigParams, gig_moments
+from vbpoisson.special_math import gig_moments
 from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
 
@@ -47,7 +47,7 @@ def test_laplace_keeps_the_log_moment_of_its_last_scale_sweep():
         mu, sigma = state.posterior.mean, state.posterior.covariance
         # the second-moment diagonal as the ELBO forms it
         d_diag = np.diag(np.outer(mu, mu) + sigma)
-        _, _, fresh = gig_moments(GigParams(a=state.e_eta, b=d_diag[1:]))
+        _, _, fresh = gig_moments(state.e_eta, d_diag[1:])
         np.testing.assert_array_equal(state.e_log_tau, fresh)
 
 

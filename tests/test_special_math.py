@@ -7,15 +7,12 @@ from scipy import special as sp
 
 from vbpoisson.errors import IntegrationError
 from vbpoisson.special_math import (
-    GigParams,
     _exp_e1,
-    bessel_k_half_ratio,
     digamma,
     gig_moments,
     integrate_1d,
     log_bessel_k_half,
     log_gamma,
-    sigmoid,
 )
 
 
@@ -31,14 +28,14 @@ def _gig_quadrature(a, b, fn):
 
 
 def test_gig_mean_and_inverse_mean_match_quadrature():
-    mean, inv_mean, _ = gig_moments(GigParams(a=1.0, b=1.0))
+    mean, inv_mean, _ = gig_moments(1.0, 1.0)
     assert mean == pytest.approx(2.0, rel=1e-12)
     assert inv_mean == pytest.approx(1.0, rel=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(10):
         a = float(rng.uniform(0.2, 5.0))
         b = float(rng.uniform(0.2, 5.0))
-        mean, inv_mean, log_mean = gig_moments(GigParams(a=a, b=b))
+        mean, inv_mean, log_mean = gig_moments(a, b)
         assert mean == pytest.approx(_gig_quadrature(a, b, lambda t: t), rel=1e-6)
         assert inv_mean == pytest.approx(_gig_quadrature(a, b, lambda t: 1.0 / t), rel=1e-6)
         assert log_mean == pytest.approx(_gig_quadrature(a, b, np.log), abs=1e-4)
@@ -69,7 +66,7 @@ def test_gig_log_moment_matches_quadrature():
     cases = [(1.0, 1.0), (1e-3, 1e-4), (50.0, 40.0), (0.01, 2e3)]
     cases += [tuple(10.0 ** rng.uniform(-3.0, 1.7, size=2)) for _ in range(12)]
     for a, b in cases:
-        _, _, log_mean = gig_moments(GigParams(a=a, b=b))
+        _, _, log_mean = gig_moments(a, b)
         assert log_mean == pytest.approx(_gig_log_moment_quad(a, b), rel=1e-12, abs=1e-15)
 
 
@@ -79,19 +76,18 @@ def test_gig_moments_vectorised_equal_scalar_calls():
     b = 10.0 ** rng.uniform(-4.0, 6.0, size=60)
     b[:3] = [1e-12, 1e8, 3e9]  # reaches z = 2 sqrt(ab) beyond 700
     for a_arg in (a, 0.37):
-        vec = gig_moments(GigParams(a=a_arg, b=b))
+        vec = gig_moments(a_arg, b)
         a_list = a if np.ndim(a_arg) else np.full(b.shape, a_arg)
         scalar = np.array(
-            [gig_moments(GigParams(a=float(ai), b=float(bi))) for ai, bi in zip(a_list, b)]
+            [gig_moments(float(ai), float(bi)) for ai, bi in zip(a_list, b)]
         )
         for k in range(3):
             assert vec[k].shape == b.shape
             np.testing.assert_array_equal(vec[k], scalar[:, k])
-    assert all(isinstance(v, float) for v in gig_moments(GigParams(a=2.0, b=3.0)))
-    with pytest.raises(ValueError, match="GigParams.b"):
-        GigParams(a=1.0, b=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="GigParams.a"):
-        GigParams(a=np.array([np.inf]), b=1.0)
+    with pytest.raises(ValueError, match="b must be positive"):
+        gig_moments(1.0, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="a must be positive"):
+        gig_moments(np.array([np.inf]), 1.0)
 
 
 def test_gig_log_moment_follows_asymptotic_series_where_exp_overflows():
@@ -100,7 +96,7 @@ def test_gig_log_moment_follows_asymptotic_series_where_exp_overflows():
     z = np.array([200.0, 699.999, 700.0, 700.001, 1500.0, 5000.0, 1e4])
     a = np.ones_like(z)
     b = (z / 2.0) ** 2
-    _, _, log_mean = gig_moments(GigParams(a=a, b=b))
+    _, _, log_mean = gig_moments(a, b)
     assert np.all(np.isfinite(log_mean))
     series = sum((-1) ** k * sp.factorial(k) / z ** (k + 1) for k in range(16))
     np.testing.assert_allclose(log_mean, 0.5 * np.log(b / a) + series, rtol=1e-15)
@@ -116,7 +112,7 @@ def test_gig_moments_satisfy_mean_inequality():
     for _ in range(200):
         a = float(rng.uniform(1e-3, 50.0))
         b = float(rng.uniform(1e-3, 50.0))
-        mean, inv_mean, _ = gig_moments(GigParams(a=a, b=b))
+        mean, inv_mean, _ = gig_moments(a, b)
         assert mean > 0.0 and inv_mean > 0.0
         assert mean * inv_mean >= 1.0
 
@@ -124,9 +120,9 @@ def test_gig_moments_satisfy_mean_inequality():
 def test_gig_rejects_unsupported_order():
     # order 1/2 is the only one; there is no order to set
     with pytest.raises(TypeError):
-        GigParams(a=1.0, b=1.0, order=1.5)
+        gig_moments(1.0, 1.0, order=1.5)
     with pytest.raises(ValueError):
-        gig_moments(GigParams(a=-1.0, b=1.0))
+        gig_moments(-1.0, 1.0)
 
 
 def test_digamma_recurrence_and_known_value():
@@ -145,22 +141,15 @@ def test_log_gamma_recurrence():
     assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sigmoid_endpoints_and_symmetry():
-    assert sigmoid(0.0) == pytest.approx(0.5)
-    assert sigmoid(800.0) == pytest.approx(1.0)
-    assert sigmoid(-800.0) == pytest.approx(0.0)
-    x = np.linspace(-5, 5, 21)
-    np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), np.ones_like(x), rtol=1e-12)
-
-
 def test_half_order_bessel_closed_forms_match_scipy():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.05, 30.0, size=40)
     np.testing.assert_allclose(
         log_bessel_k_half(x), np.log(sp.kv(0.5, x)), rtol=1e-10
     )
+    # with a = b = x the GIG mean is the Bessel ratio at r = x
     np.testing.assert_allclose(
-        bessel_k_half_ratio(x), sp.kv(1.5, x) / sp.kv(0.5, x), rtol=1e-10
+        gig_moments(x, x)[0], sp.kv(1.5, x) / sp.kv(0.5, x), rtol=1e-10
     )
 
 
