@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 
@@ -51,12 +50,14 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--level", type=_level, default=0.95)
     p_fit.add_argument("--no-standardize", dest="standardize", action="store_false")
     p_fit.add_argument("--out", required=True)
+    p_fit.set_defaults(run=_cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict counts from a saved fit")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--data", required=True)
     p_pred.add_argument("--level", type=_level, default=0.95)
     p_pred.add_argument("--out", required=True)
+    p_pred.set_defaults(run=_cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="run a seeded replication study")
     p_sim.add_argument("--scenario", required=True, choices=["low", "high", "custom"])
@@ -68,10 +69,12 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--methods", default="laplace,cs,bernoulli")
     p_sim.add_argument("--summary-out")
     p_sim.add_argument("--out", required=True)
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_val = sub.add_parser("validate", help="check a CSV dataset's invariants")
     p_val.add_argument("--data", required=True)
     p_val.add_argument("--response", required=True)
+    p_val.set_defaults(run=_cmd_validate)
     return parser
 
 
@@ -146,14 +149,10 @@ def _cmd_predict(args) -> int:
     if bad.size:
         print(f"error: non-finite covariate at data row {bad[0] + 1}", file=sys.stderr)
         return EXIT_NUMERICAL
-    rows = []
-    for row in covs:
-        dist = predictive_distribution(row, fit, sparse, level=args.level)
-        rows.append({"mode": dist.mode, "mean": dist.mean, "tail_mass": dist.tail_mass,
-                     "hpd_set": [int(v) for v in dist.hpd_set]})
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"level": args.level, "predictions": rows}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    dists = (predictive_distribution(row, fit, sparse, level=args.level) for row in covs)
+    rows = [{"mode": d.mode, "mean": d.mean, "tail_mass": d.tail_mass, "hpd_set": d.hpd_set}
+            for d in dists]
+    _io.save_bundle({"level": args.level, "predictions": rows}, args.out)
     print(f"predictions for {len(rows)} rows written to {args.out}")
     return EXIT_OK
 
@@ -202,14 +201,11 @@ def _cmd_simulate(args) -> int:
         )
     result = run_study(config, methods=methods)
     _io.write_raw_table(result.raw, args.out)
-    summary = {}
-    for name, rep in result.reports.items():
-        summary[name] = _io.jsonable(asdict(rep))
-        del summary[name]["wall_time_s"]
+    summary = {name: asdict(rep) for name, rep in result.reports.items()}
+    for row in summary.values():
+        del row["wall_time_s"]
     if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _io.save_bundle(summary, args.summary_out)
     for name, row in summary.items():
         print(
             f"{name}: cre={row['cre']:.4f} trre={row['trre']:.4f} "
@@ -238,24 +234,13 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-    except _io.FormatVersionError as exc:
+        return args.run(args)
+    except (_io.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (_io.ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_USAGE if isinstance(exc, _io.FormatVersionError) else EXIT_NUMERICAL
     except VbPoissonError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_USAGE
 
 
 def entry():

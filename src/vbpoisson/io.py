@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 from collections import Counter
 
@@ -30,7 +32,7 @@ def load_csv(path: str, response_column: str | None):
     (Dataset, column_names) when a response column is named, else
     (matrix, column_names) of the covariates alone.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -74,7 +76,7 @@ def load_csv(path: str, response_column: str | None):
 def load_config(path: str) -> dict:
     """Flat key=value config; blank lines and # comments are skipped."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -84,6 +86,15 @@ def load_config(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             out[key] = value
     return out
+
+
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 raise ParseError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def hyperparameters_from_config(cfg: dict) -> Hyperparameters:
@@ -102,18 +113,6 @@ def hyperparameters_from_config(cfg: dict) -> Hyperparameters:
         raise ParseError(f"invalid hyperparameter: {exc}") from None
 
 
-def jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
-
-
 def result_bundle(
     fit: FitResult,
     sparse: SparseCoefficients,
@@ -122,131 +121,131 @@ def result_bundle(
     seed: int | None,
     column_names: list,
 ) -> dict:
-    """Assemble the serializable record of one fitted model.
+    """Assemble the record of one fitted model, numpy arrays as they are, for save_bundle.
 
     It holds no wall time, so identical seeds give byte-identical files.
     """
     meta = {
         "format_version": FORMAT_VERSION,
         "method": fit.method.value,
-        "hyperparameters": jsonable(dataclasses.asdict(hp)),
+        "hyperparameters": dataclasses.asdict(hp),
         "seed": seed,
         "columns": list(column_names),
     }
     fit_block = {
-        "mean": jsonable(fit.posterior.mean),
-        "covariance": jsonable(fit.posterior.covariance),
-        "inclusion_prob": jsonable(fit.inclusion_prob),
-        "hyper_expectations": jsonable(fit.hyper_expectations),
-        "elbo_trace": jsonable(fit.elbo_trace),
+        "mean": fit.posterior.mean,
+        "covariance": fit.posterior.covariance,
+        "inclusion_prob": fit.inclusion_prob,
+        "hyper_expectations": fit.hyper_expectations,
+        "elbo_trace": fit.elbo_trace,
         "iterations": fit.iterations,
         "converged": fit.converged,
     }
     if fit.interval_posterior is not None:
-        fit_block["interval_mean"] = jsonable(fit.interval_posterior.mean)
-        fit_block["interval_covariance"] = jsonable(fit.interval_posterior.covariance)
-    return {
-        "metadata": meta,
-        "fit": fit_block,
-        "sparse": jsonable(dataclasses.asdict(sparse)),
-        "hpd": jsonable(hpd),
-    }
+        fit_block["interval_mean"] = fit.interval_posterior.mean
+        fit_block["interval_covariance"] = fit.interval_posterior.covariance
+    return {"metadata": meta, "fit": fit_block, "sparse": dataclasses.asdict(sparse), "hpd": hpd}
 
 
-def save_bundle(bundle: dict, path: str):
+def save_bundle(obj, path: str):
+    """Write obj as sorted, indent-1 JSON and a final newline. A numpy array or scalar is
+    written as its `.tolist()`, lists or a Python number; any other type raises TypeError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True, indent=1, default=_tolist)
         fh.write("\n")
 
 
+def _tolist(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def load_bundle(path: str) -> tuple[FitResult, SparseCoefficients, dict]:
-    """Read a saved model; a file that is not a JSON bundle raises ParseError."""
+    """Read a saved model; a non-JSON file or a missing or mistyped entry raises ParseError."""
     with open(path, encoding="utf-8") as fh:
         try:
             bundle = json.load(fh)
         except ValueError as exc:
             raise ParseError(f"{path}: not a JSON model bundle: {exc}") from None
-    version = bundle.get("metadata", {}).get("format_version")
+    if type(bundle) is not dict:
+        raise ParseError(f"{path}: model bundle is not a mapping")
+    meta = _entry(path, {"metadata": {}, **bundle}, "metadata", "a mapping")
+    version = meta.get("format_version")
     if version != FORMAT_VERSION:
         found = "no format_version" if version is None else f"format_version {version!r}"
         raise FormatVersionError(
             f"{path}: bundle has {found}; this version reads format_version {FORMAT_VERSION!r}"
         )
-    try:
-        meta, fit_d, sp = bundle["metadata"], bundle["fit"], bundle["sparse"]
-        if meta["method"] not in {m.value for m in Method}:
-            raise ParseError(f"{path}: model bundle's 'method' entry {meta['method']!r} "
-                             "is not a method name")
-        columns = meta["columns"]
-        if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
-            raise ParseError(f"{path}: model bundle's 'columns' entry is not a list of names")
-        p = len(columns)
+    fit_d = _entry(path, bundle, "fit", "a mapping")
+    sp = _entry(path, bundle, "sparse", "a mapping")
+    method = _entry(path, meta, "method", "a string")
+    if method not in {m.value for m in Method}:
+        raise ParseError(f"{path}: model bundle's 'method' entry {method!r} is not a method name")
+    p = len(_entry(path, meta, "columns", "a list of names"))
 
-        def posterior(mean_key, cov_key):
-            cov = _entry(path, fit_d, cov_key, (p, p))
-            if np.any(np.diag(cov) < 0.0):
-                raise ParseError(
-                    f"{path}: model bundle's {cov_key!r} entry has a negative variance"
-                )
-            return GaussianPosterior(_entry(path, fit_d, mean_key, (p,)), cov)
+    def posterior(mean_key, cov_key):
+        cov = _entry(path, fit_d, cov_key, (p, p))
+        if np.any(np.diag(cov) < 0.0):
+            raise ParseError(f"{path}: model bundle's {cov_key!r} entry has a negative variance")
+        return GaussianPosterior(_entry(path, fit_d, mean_key, (p,)), cov)
 
-        interval = None
-        if "interval_mean" in fit_d:
-            interval = posterior("interval_mean", "interval_covariance")
-        if not isinstance(fit_d["hyper_expectations"], dict):
-            raise ParseError(f"{path}: model bundle's 'hyper_expectations' entry is not a mapping")
-        fit = FitResult(
-            method=Method(meta["method"]),
-            posterior=posterior("mean", "covariance"),
-            inclusion_prob=_entry(path, fit_d, "inclusion_prob", (p,)),
-            hyper_expectations={
-                k: np.array(v) if isinstance(v, list) else v
-                for k, v in fit_d["hyper_expectations"].items()
-            },
-            elbo_trace=np.array(fit_d["elbo_trace"]),
-            iterations=fit_d["iterations"],
-            converged=fit_d["converged"],
-            interval_posterior=interval,
-        )
-        names = [f.name for f in dataclasses.fields(SparseCoefficients)]
-        unknown = sorted(set(sp) - set(names))
-        if unknown:
-            raise ParseError(f"{path}: model bundle's 'sparse' block has an unknown "
-                             f"{unknown[0]!r} entry")
-        arrays = {k: _entry(path, sp, k, (p,)) for k in ("beta_hat", "p_binary")}
-        known = {k: sp[k] for k in names}
-        sparse = SparseCoefficients(**{**known, **arrays, "support": tuple(sp["support"])})
-    except KeyError as exc:
-        raise ParseError(f"{path}: model bundle has no {exc.args[0]!r} entry") from None
-    return fit, sparse, bundle
+    interval = None
+    if "interval_mean" in fit_d:
+        interval = posterior("interval_mean", "interval_covariance")
+    hyper = _entry(path, fit_d, "hyper_expectations", "a mapping")
+    fit = FitResult(
+        method=Method(method),
+        posterior=posterior("mean", "covariance"),
+        inclusion_prob=_entry(path, fit_d, "inclusion_prob", (p,)),
+        hyper_expectations={k: np.array(v) if isinstance(v, list) else v for k, v in hyper.items()},
+        elbo_trace=np.array(_entry(path, fit_d, "elbo_trace", "a list of numbers")),
+        iterations=_entry(path, fit_d, "iterations", "an integer"),
+        converged=_entry(path, fit_d, "converged", "true or false"),
+        interval_posterior=interval,
+    )
+    kinds = {"beta_hat": (p,), "support": "a list of indices", "kappa": "a number",
+             "aic": "a number", "df": "an integer", "p_binary": (p,)}
+    if unknown := sorted(set(sp) - set(kinds)):
+        raise ParseError(f"{path}: model bundle's 'sparse' block has an unknown "
+                         f"{unknown[0]!r} entry")
+    fields = {k: _entry(path, sp, k, kind) for k, kind in kinds.items()}
+    return fit, SparseCoefficients(**{**fields, "support": tuple(fields["support"])}), bundle
 
 
-def _entry(path: str, block: dict, key: str, shape: tuple) -> np.ndarray:
-    """A bundle block's entry as a finite float array of the given shape, else ParseError."""
-    try:
-        arr = np.array(block[key], dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise ParseError(f"{path}: model bundle's {key!r} entry is not "
-                         f"{'x'.join(map(str, shape))} finite numbers")
-    return arr
+_KINDS = {
+    "a mapping": lambda v: type(v) is dict,
+    "a string": lambda v: type(v) is str,
+    "a list of names": lambda v: type(v) is list and all(type(c) is str for c in v),
+    "a list of indices": lambda v: type(v) is list and all(type(c) is int for c in v),
+    "a list of numbers": lambda v: type(v) is list and all(type(c) in (int, float) for c in v),
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "true or false": lambda v: type(v) is bool,
+}
+
+
+def _entry(path: str, block: dict, key: str, kind):
+    """block[key] if it is `kind` (a _KINDS name; a shape: finite floats), else ParseError."""
+    if key not in block:
+        raise ParseError(f"{path}: model bundle has no {key!r} entry")
+    value = block[key]
+    if isinstance(kind, str) and _KINDS[kind](value):
+        return value
+    if isinstance(kind, tuple):
+        with contextlib.suppress(TypeError, ValueError):
+            arr = np.array(value, dtype=float)
+            if arr.shape == kind and np.all(np.isfinite(arr)):
+                return arr
+        kind = f"{'x'.join(map(str, kind))} finite numbers"
+    raise ParseError(f"{path}: model bundle's {key!r} entry is not {kind}")
 
 
 def write_raw_table(rows: list, path: str):
-    """Raw per-replication metric table as CSV."""
+    """Raw per-replication metric table as CSV: csv writes floats by repr, None as empty."""
     cols = ["rep", "method", "failed", "cre", "trre", "tsre", "fnr", "fpr", "df",
             "converged", "iterations", "error"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({c: _format_cell(row.get(c)) for c in cols})
-
-
-def _format_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
+        writer.writerows(rows)

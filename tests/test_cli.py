@@ -99,6 +99,43 @@ def test_file_errors_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("fit", "--data"), ("fit", "--config"),
+                                           ("fit", "--out"), ("predict", "--model"),
+                                           ("simulate", "--out")])
+def test_a_directory_in_place_of_a_file_exits_two(tmp_path, data_csv, capsys, command, flag):
+    model = tmp_path / "fit.json"
+    assert cli(["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
+                "--out", str(model)]) == EXIT_OK
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x2\n0.0,0.0\n", encoding="utf-8")
+    args = {
+        "fit": {"--method": "laplace", "--data": data_csv, "--response": "y",
+                "--out": str(tmp_path / "o.json")},
+        "predict": {"--model": str(model), "--data": str(new), "--out": str(tmp_path / "p.json")},
+        "simulate": {"--scenario": "low", "--replications": "1", "--methods": "laplace",
+                     "--out": str(tmp_path / "o.csv")},
+    }[command]
+    args[flag] = str(tmp_path)
+    capsys.readouterr()
+    assert cli([command, *(x for kv in args.items() for x in kv)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config"])
+def test_a_file_that_is_not_utf8_exits_two(tmp_path, data_csv, capsys, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"x1,x2,y\n0.5,\xff\xfe,1\n")
+    if flag == "--data":
+        argv = ["validate", "--data", str(bad), "--response", "y"]
+    else:
+        argv = ["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
+                "--config", str(bad), "--out", str(tmp_path / "o.json")]
+    assert cli(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_predict_rejects_a_bundle_of_another_format_version(tmp_path, data_csv, capsys):
     out = tmp_path / "fit.json"
     assert cli(["fit", "--method", "laplace", "--data", data_csv,
@@ -122,6 +159,10 @@ def test_predict_rejects_a_bundle_of_another_format_version(tmp_path, data_csv, 
     [
         ("not json {", "not a JSON model bundle"),
         (json.dumps({"metadata": {"format_version": "1", "method": "cs"}}), "no 'fit' entry"),
+        ("[1, 2]", "model bundle is not a mapping"),
+        ('"a bundle"', "model bundle is not a mapping"),
+        (json.dumps({"metadata": ["format_version", "1"]}), "'metadata' entry is not a mapping"),
+        (json.dumps({"metadata": "1"}), "'metadata' entry is not a mapping"),
     ],
 )
 def test_predict_rejects_a_malformed_bundle(tmp_path, capsys, text, message):
@@ -185,9 +226,24 @@ def _set_first_variance(value):
         (lambda b: b["sparse"].update(extra=1), "'sparse' block has an unknown 'extra' entry"),
         (lambda b: b["fit"].update(hyper_expectations=[1.0]),
          "'hyper_expectations' entry is not a mapping"),
+        (lambda b: b.update(fit=[b["fit"]]), "'fit' entry is not a mapping"),
+        (lambda b: b.update(sparse="beta_hat"), "'sparse' entry is not a mapping"),
+        (lambda b: b["sparse"].update(support=1), "'support' entry is not a list of indices"),
+        (lambda b: b["sparse"].update(support=[0, "1"]),
+         "'support' entry is not a list of indices"),
+        (lambda b: b["sparse"].update(df=1.5), "'df' entry is not an integer"),
+        (lambda b: b["sparse"].update(kappa="0.1"), "'kappa' entry is not a number"),
+        (lambda b: b["fit"].update(iterations="12"), "'iterations' entry is not an integer"),
+        (lambda b: b["fit"].update(converged="yes"), "'converged' entry is not true or false"),
+        (lambda b: b["fit"].update(elbo_trace="-1.0"),
+         "'elbo_trace' entry is not a list of numbers"),
+        (lambda b: b["metadata"].update(method=["cs"]), "'method' entry is not a string"),
     ],
     ids=["short-mean", "short-p_binary", "nan-covariance", "negative-variance",
-         "no-kappa", "no-aic", "no-df", "extra-sparse-key", "hyper-expectations-list"],
+         "no-kappa", "no-aic", "no-df", "extra-sparse-key", "hyper-expectations-list",
+         "fit-list", "sparse-string", "support-int", "support-string-index", "df-float",
+         "kappa-string", "iterations-string", "converged-string", "elbo-trace-string",
+         "method-list"],
 )
 def test_predict_rejects_a_bundle_with_a_bad_fit_entry(tmp_path, data_csv, capsys, edit, message):
     model = tmp_path / "fit.json"

@@ -1,7 +1,11 @@
 """File formats: CSV ingestion, config files and result bundles."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbpoisson.core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from vbpoisson.io import (
@@ -58,6 +62,15 @@ def test_load_csv_errors_name_row_and_column(tmp_path):
     path = _write(tmp_path, "noresp.csv", "a,b\n1,2\n")
     with pytest.raises(ParseError, match="response column"):
         load_csv(path, "y")
+
+
+@pytest.mark.parametrize("load", [lambda path: load_csv(path, None), load_config],
+                         ids=["csv", "config"])
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, load):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    with pytest.raises(ParseError, match=f"{path}: not UTF-8 text"):
+        load(str(path))
 
 
 def test_load_config_and_hyperparameters(tmp_path):
@@ -164,15 +177,97 @@ def test_save_bundle_is_byte_stable(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_save_bundle_writes_numpy_values_as_plain_json(tmp_path):
+    path = tmp_path / "out.json"
+    save_bundle({"b": np.bool_(True), "a": np.int64(3), "f": np.float32(0.5),
+                 "m": np.arange(4.0).reshape(2, 2), "x": np.float64(0.1)}, str(path))
+    assert path.read_text(encoding="utf-8") == (
+        '{\n "a": 3,\n "b": true,\n "f": 0.5,\n "m": [\n  [\n   0.0,\n   1.0\n  ],\n'
+        '  [\n   2.0,\n   3.0\n  ]\n ],\n "x": 0.1\n}\n'
+    )
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        save_bundle({"s": {1, 2}}, str(path))
+
+
 def test_raw_table_round_trips_floats(tmp_path):
     rows = [
         {"rep": 0, "method": "laplace", "failed": False, "cre": 0.1, "tsre": 1 / 3,
          "fnr": 0.0, "fpr": 0.5, "df": 3, "converged": True, "iterations": 12},
-        {"rep": 1, "method": "laplace", "failed": True, "error": "boom"},
+        {"rep": 1, "method": "laplace", "failed": True, "cre": None, "error": "boom"},
+        # a numpy scalar is written as its number, not as its repr
+        {"rep": 2, "method": "cs", "failed": False, "cre": np.float64(0.1),
+         "tsre": np.float64(1 / 3), "df": np.int64(3)},
     ]
     path = str(tmp_path / "raw.csv")
     write_raw_table(rows, path)
     lines = open(path, encoding="utf-8").read().splitlines()
     assert lines[0].startswith("rep,method,failed")
-    assert repr(1 / 3) in lines[1]
-    assert "boom" in lines[2]
+    ok, failed, scalars = csv.DictReader(lines)
+    for row in (ok, scalars):
+        assert (row["cre"], row["tsre"], row["df"]) == ("0.1", repr(1 / 3), "3")
+    assert failed["error"] == "boom"
+    metrics = ("cre", "trre", "tsre", "fnr", "fpr", "df", "converged", "iterations")
+    assert all(failed[c] == "" for c in metrics)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e300, -1e300]),
+)
+
+
+def _array(draw, shape):
+    return np.array(draw(st.lists(_FLOATS, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))).reshape(shape)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), p=st.integers(1, 6), with_interval=st.booleans())
+def test_bundle_round_trip_is_bit_exact(tmp_path_factory, data, p, with_interval):
+    draw = data.draw
+
+    def posterior():
+        cov = _array(draw, (p, p))
+        np.fill_diagonal(cov, np.abs(np.diag(cov)))  # a negative variance is refused
+        return GaussianPosterior(_array(draw, (p,)), cov)
+
+    hyper = {"e_tau2_inv": np.float64(draw(_FLOATS)), "e_a": _array(draw, (p,))}
+    fit = FitResult(
+        method=draw(st.sampled_from(list(Method))),
+        posterior=posterior(),
+        inclusion_prob=_array(draw, (p,)),
+        hyper_expectations=hyper,
+        elbo_trace=_array(draw, (draw(st.integers(0, 5)),)),
+        iterations=draw(st.integers(0, 10_000)),
+        converged=draw(st.booleans()),
+        interval_posterior=posterior() if with_interval else None,
+    )
+    support = tuple(sorted(draw(st.sets(st.integers(0, p - 1)))))
+    sparse = SparseCoefficients(beta_hat=_array(draw, (p,)), support=support,
+                                kappa=draw(_FLOATS), aic=draw(_FLOATS), df=len(support),
+                                p_binary=_array(draw, (p,)))
+    path = str(tmp_path_factory.mktemp("bundle") / "fit.json")
+    columns = [f"x{j}" for j in range(p)]
+    save_bundle(result_bundle(fit, sparse, _array(draw, (p, 2)), Hyperparameters(), 1, columns),
+                path)
+    fit2, sparse2, _ = load_bundle(path)
+    pairs = [(fit.posterior, fit2.posterior)]
+    if with_interval:
+        pairs.append((fit.interval_posterior, fit2.interval_posterior))
+    else:
+        assert fit2.interval_posterior is None
+    for a, b in pairs:
+        assert _bits(a.mean) == _bits(b.mean) and _bits(a.covariance) == _bits(b.covariance)
+    for a, b in ((fit.inclusion_prob, fit2.inclusion_prob), (fit.elbo_trace, fit2.elbo_trace),
+                 (sparse.beta_hat, sparse2.beta_hat), (sparse.p_binary, sparse2.p_binary),
+                 (hyper["e_a"], fit2.hyper_expectations["e_a"]),
+                 (hyper["e_tau2_inv"], fit2.hyper_expectations["e_tau2_inv"]),
+                 (sparse.kappa, sparse2.kappa), (sparse.aic, sparse2.aic)):
+        assert _bits(a) == _bits(b)
+    assert fit2.method is fit.method
+    assert (sparse2.support, sparse2.df) == (support, len(support))
+    assert (fit2.iterations, fit2.converged) == (fit.iterations, fit.converged)

@@ -1,6 +1,7 @@
 """`tools/parity.py --compare`: which moves `--allow` permits, and the exit code."""
 
 import copy
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -109,6 +110,18 @@ def test_a_move_outside_the_scope_is_named(tmp_path, capsys):
 )
 def test_an_allow_matches_a_file_by_key_extension_or_command(tmp_path, files, allow, code):
     assert _exit(tmp_path, _BASE, _moved(files=files), *allow) == code
+
+
+def test_a_command_without_output_files_records_its_exit_code_and_streams(tmp_path,
+                                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dirty.csv").write_text("x1,y\n0.5,-3\n", encoding="utf-8")
+    argv = ["validate", "--data", "dirty.csv", "--response", "y"]
+    fields, files = {}, {}
+    parity._cli(argv, fields, files)
+    assert fields == {}
+    streams = b"2\ndiagnostic: negative count\n\n"  # exit code, stdout, stderr
+    assert files == {" ".join(argv): hashlib.sha256(streams).hexdigest()}
 
 
 def test_a_pred_file_is_recorded_row_by_row(tmp_path):

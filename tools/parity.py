@@ -8,19 +8,20 @@ The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets,
 with a 1,500-iteration chain per engine on `low` t < 3; a fixed grid of 24
 library predictive rows; `fit` (3 methods, standardised or not) on two
 2000x30 and two 150x4 CSVs, with `predict` on each bundle; `simulate` `low`
-(3 reps) and `high` (1 rep). The manifest holds every leaf of every
-FitResult, sparse record, chain and bundle, every cell of the `simulate` raw
-tables and every field of each `predict` row (a grid row that raises records
-its error class instead), each keyed by its case (`low0.cs`, `grid.7`,
-`d1-laplace.bundle`, `low.laplace.2`, `d1-laplace.17`); and a sha256 of every
-other output file and of each command's exit code and streams, keyed by the
-path or command line.
+(3 reps) and `high` (1 rep); `validate` on one clean and one dirty CSV. The
+manifest holds every leaf of every FitResult, sparse record, chain and
+bundle, every cell of the `simulate` raw tables and every field of each
+`predict` row (a grid row that raises records its error class instead), each
+keyed by its case (`low0.cs`, `grid.7`, `d1-laplace.bundle`, `low.laplace.2`,
+`d1-laplace.17`); and a sha256 of every other output file and of each
+command's exit code and streams, keyed by the path or command line.
 
 `--compare` prints the largest move per field and file, and exits 1 if any
 moved outside `--allow`. `--allow NAME` matches a field named NAME or ending in
 `.NAME`, and a file whose key is NAME, ends in `.NAME` (`summary`) or is
-the streams of a NAME command (`fit`, `predict`, `simulate`). `--allow NAME@TEXT`
-allows those moves only in the cases and file keys that contain TEXT.
+the streams of a NAME command (`fit`, `predict`, `simulate`, `validate`).
+`--allow NAME@TEXT` allows those moves only in the cases and file keys that
+contain TEXT.
 """
 
 import argparse
@@ -181,6 +182,10 @@ def _cli_cases(fields, files):
     for scen, reps in (("low", "3"), ("high", "1")):
         _cli(["simulate", "--scenario", scen, "--replications", reps, "--seed", "0",
               "--out", f"{scen}.raw", "--summary-out", f"{scen}.summary"], fields, files)
+    with open("dirty.csv", "w", encoding="utf-8") as fh:  # a negative, a fractional count
+        fh.write("x1,x2,y\n0.5,1.0,-3\n0.2,0.4,1.5\n-0.1,0.3,2\n")
+    for data in ("d0.csv", "dirty.csv"):
+        _cli(["validate", "--data", data, "--response", "y"], fields, files)
 
 
 def run(src):
