@@ -12,7 +12,7 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import digamma, gamma_entropy
+from .special_math import gamma_entropy
 
 
 def omega_from_p(p_incl: np.ndarray) -> np.ndarray:
@@ -32,7 +32,6 @@ class BernoulliState:
     pi_p: np.ndarray
     e_log_pi: np.ndarray
     e_log_1mpi: np.ndarray
-    omega: np.ndarray
     quad: QuadApprox
     logdet_sigma: float = 0.0
 
@@ -57,7 +56,6 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
         pi_p=p_incl,
         e_log_pi=e_log_pi,
         e_log_1mpi=e_log_1mpi,
-        omega=omega_from_p(p_incl),
         quad=refresh(np.log1p(dataset.response), dataset),
     )
     state.posterior, state.logdet_sigma = update_beta_bernoulli(state)
@@ -68,7 +66,8 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
 def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianPosterior, float]:
     """Gaussian coefficient factor under the masked design moments."""
     return gaussian_factor(
-        state.quad.s_x_xi * state.omega + np.diag(state.e_alpha), state.p_incl * state.quad.score
+        state.quad.s_x_xi * omega_from_p(state.p_incl) + np.diag(state.e_alpha),
+        state.p_incl * state.quad.score,
     )
 
 
@@ -112,7 +111,6 @@ def update_bernoulli(
     state.rate_alpha, state.e_alpha = update_alpha_bernoulli(state, hp)
     update_pi(state, hp)
     state.p_incl = update_gamma_bernoulli(state)
-    state.omega = omega_from_p(state.p_incl)
     return state
 
 
@@ -121,20 +119,18 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
-    a_post = hp.a_gamma + 0.5
-    e_log_alpha, e_alpha = digamma(a_post) - np.log(state.rate_alpha), state.e_alpha
     mask_prior, pi_prior, mask_entropy, pi_entropy = indicator_terms(state, hp)
     return {
         "likelihood": approx_loglik(
-            state.quad, state.linear_coef, state.quad.s_x_xi * state.omega, d_beta
+            state.quad, state.linear_coef, state.quad.s_x_xi * omega_from_p(state.p_incl), d_beta
         ),
-        "beta_prior": 0.5 * float(np.sum(e_log_alpha)) - 0.5 * float(np.sum(d_diag * e_alpha)),
+        "beta_prior": -0.5 * float(np.sum(d_diag * state.e_alpha)),
         "gamma_prior": mask_prior,
-        "alpha_prior": float(np.sum((hp.a_gamma - 1.0) * e_log_alpha - hp.b_gamma * e_alpha)),
+        "alpha_prior": -hp.b_gamma * float(np.sum(state.e_alpha)),
         "pi_prior": pi_prior,
         "beta_entropy": 0.5 * state.logdet_sigma,
         "gamma_entropy": mask_entropy,
-        "alpha_entropy": float(np.sum(gamma_entropy(a_post, state.rate_alpha))),
+        "alpha_entropy": float(np.sum(gamma_entropy(hp.a_gamma + 0.5, state.rate_alpha))),
         "pi_entropy": pi_entropy,
     }
 

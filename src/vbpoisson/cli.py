@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -109,7 +111,16 @@ def _destandardize(fit: FitResult, center: np.ndarray, scale: np.ndarray) -> Fit
     )
 
 
+def _check_out(*paths) -> None:
+    """Raise the OSError that writing each given path would, before any work runs."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_fit(args) -> int:
+    _check_out(args.out)
     dataset, names = _io.load_csv(args.data, args.response)
     diags = validate(dataset)
     fatal = [d for d in diags if "zero-variance" not in d and "non-integer" not in d]
@@ -190,6 +201,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
+    _check_out(args.out, args.summary_out)
     config = _scenario_from_args(args)
     try:
         methods = tuple(Method(m.strip()) for m in args.methods.split(",") if m.strip())

@@ -11,8 +11,7 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import digamma, gig_moments, log_bessel_k_half
-from .special_math import gamma_entropy, inv_gamma_entropy
+from .special_math import gamma_entropy, gig_moments, log_bessel_k_half
 
 
 @dataclass
@@ -20,16 +19,15 @@ class LaplaceState:
     """Variational state for the Laplace-prior engine.
 
     e_tau[0] is a placeholder (the intercept scale enters only through
-    e_tau_inv[0]); slope entries hold E(tau_j) from the GIG factor, and
-    e_log_tau the slopes' E(log tau_j) from the same factor. The rates are those
-    of the Gamma factor of eta and the inverse-Gamma factors of tau_0 and a that
-    e_eta, e_tau_inv[0] and e_a_inv were derived from (NaN until the first sweep).
+    e_tau_inv[0]); slope entries hold E(tau_j) from the GIG factor. The rates
+    are those of the Gamma factor of eta and the inverse-Gamma factors of tau_0
+    and a that e_eta, e_tau_inv[0] and e_a_inv were derived from (NaN until the
+    first sweep).
     """
 
     posterior: GaussianPosterior
     e_tau: np.ndarray
     e_tau_inv: np.ndarray
-    e_log_tau: np.ndarray
     e_eta: float
     e_a_inv: float
     quad: QuadApprox
@@ -52,7 +50,6 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
         posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
         e_tau=np.ones(p),
         e_tau_inv=np.ones(p),
-        e_log_tau=np.zeros(p - 1),
         e_eta=hp.nu / hp.delta,
         e_a_inv=hp.A,
         quad=refresh(np.log1p(dataset.response), dataset),
@@ -77,13 +74,13 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
     e_eta = (d_diag.shape[0] + hp.nu - 1.0) / rate_eta
     e_tau = state.e_tau.copy()
     e_tau_inv = state.e_tau_inv.copy()
-    e_tau[1:], e_tau_inv[1:], e_log_tau = gig_moments(e_eta, d_diag[1:])
+    e_tau[1:], e_tau_inv[1:] = gig_moments(e_eta, d_diag[1:])
     rate_tau0 = 0.5 * d_diag[0] + state.e_a_inv
     e_tau_inv[0] = 1.0 / rate_tau0
     rate_a = e_tau_inv[0] + 1.0 / hp.A
     return replace(
-        state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_log_tau=e_log_tau,
-        e_a_inv=1.0 / rate_a, rate_eta=rate_eta, rate_tau0=rate_tau0, rate_a=rate_a,
+        state, e_eta=e_eta, e_tau=e_tau, e_tau_inv=e_tau_inv, e_a_inv=1.0 / rate_a,
+        rate_eta=rate_eta, rate_tau0=rate_tau0, rate_a=rate_a,
     )
 
 
@@ -104,33 +101,25 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
     p = dataset.p
-    e_log_tau0 = np.log(state.rate_tau0) - digamma(1.0)
-    e_log_a = np.log(state.rate_a) - digamma(1.0)
-    alpha_eta = p + hp.nu - 1.0
-    e_log_eta = digamma(alpha_eta) - np.log(state.rate_eta)
     root = np.sqrt(state.e_eta * d_diag[1:])
-
     return {
         "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
-        "beta_prior": -0.5 * (e_log_tau0 + np.sum(state.e_log_tau))
-        - 0.5 * float(np.sum(state.e_tau_inv * d_diag)),
-        "tau_prior": (p - 1) * (e_log_eta - np.log(2.0))
-        - 0.5 * state.e_eta * np.sum(state.e_tau[1:]),
-        "eta_prior": (hp.nu - 1.0) * e_log_eta - hp.delta * state.e_eta,
-        "tau0_prior": -0.5 * e_log_a - 1.5 * e_log_tau0 - state.e_a_inv * state.e_tau_inv[0],
-        "a_prior": -1.5 * e_log_a - state.e_a_inv / hp.A,
+        "beta_prior": -0.5 * float(np.sum(state.e_tau_inv * d_diag)),
+        "tau_prior": -(p - 1) * np.log(2.0) - 0.5 * state.e_eta * np.sum(state.e_tau[1:]),
+        "eta_prior": -hp.delta * state.e_eta,
+        "tau0_prior": -state.e_a_inv * state.e_tau_inv[0],
+        "a_prior": -state.e_a_inv / hp.A,
         "beta_entropy": 0.5 * state.logdet_sigma,
         "tau_entropy": float(
             np.sum(
                 -0.25 * np.log(state.e_eta / d_diag[1:])
                 + log_bessel_k_half(root)
-                + 0.5 * state.e_log_tau
                 + 0.5 * (state.e_eta * state.e_tau[1:] + d_diag[1:] * state.e_tau_inv[1:])
             )
         ),
-        "tau0_entropy": inv_gamma_entropy(1.0, state.rate_tau0),
-        "eta_entropy": gamma_entropy(alpha_eta, state.rate_eta),
-        "a_entropy": inv_gamma_entropy(1.0, state.rate_a),
+        "tau0_entropy": gamma_entropy(1.0, state.rate_tau0),
+        "eta_entropy": gamma_entropy(p + hp.nu - 1.0, state.rate_eta),
+        "a_entropy": gamma_entropy(1.0, state.rate_a),
     }
 
 

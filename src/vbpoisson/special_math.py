@@ -1,9 +1,9 @@
 """Special functions and 1-D quadrature that scipy lacks as such.
 
 `digamma` and `log_gamma` refuse arguments that are not positive;
-`gamma_entropy` and `inv_gamma_entropy` are the entropies of Gamma and
-inverse-Gamma factors; `log_bessel_k_half` and `gig_moments` (the GIG(1/2)
-mean, inverse mean and log-moment) are closed forms; `integrate_1d` is
+`gamma_entropy` is the part of a Gamma or inverse-Gamma factor's entropy
+that does not cancel in the bounds; `log_bessel_k_half` and `gig_moments`
+(the GIG(1/2) mean and inverse mean) are closed forms; `integrate_1d` is
 adaptive Simpson quadrature on a finite interval. All are pure functions.
 """
 
@@ -20,18 +20,12 @@ __all__ = [
     "digamma",
     "log_gamma",
     "gamma_entropy",
-    "inv_gamma_entropy",
     "log_bessel_k_half",
     "gig_moments",
     "integrate_1d",
 ]
 
 _MAX_DEPTH = 60
-# e^z E1(z) switches from scipy's exp1 to its asymptotic series here, below
-# the point where e^z overflows; the series' first omitted term, 9!/z^9,
-# is then below 1e-20 relative
-_SERIES_FROM = 700.0
-_SERIES_TERMS = 8
 
 
 def digamma(x):
@@ -49,15 +43,14 @@ def log_gamma(x):
 
 
 def gamma_entropy(shape, rate):
-    """Entropy -E log q of Gamma(shape, rate) factors, from E log x and E x."""
-    e_log = digamma(shape) - np.log(rate)
-    return -shape * np.log(rate) + log_gamma(shape) - (shape - 1.0) * e_log + rate * (shape / rate)
+    """Entropy of Gamma(shape, rate) or inverse-Gamma(shape, rate) factors
+    without their E log x term: -shape log(rate) + log Gamma(shape) + shape.
 
-
-def inv_gamma_entropy(shape, rate):
-    """Entropy -E log q of inverse-Gamma(shape, rate) factors, from E log x and E 1/x."""
-    e_log = np.log(rate) - digamma(shape)
-    return -shape * np.log(rate) + log_gamma(shape) + (shape + 1.0) * e_log + rate * (shape / rate)
+    The full entropy adds -(shape - 1) E log x for a Gamma factor and
+    (shape + 1) E log x for an inverse-Gamma one; each bound drops that term
+    with the priors' E log x terms it cancels.
+    """
+    return -shape * np.log(rate) + log_gamma(shape) + shape
 
 
 def log_bessel_k_half(x):
@@ -68,34 +61,13 @@ def log_bessel_k_half(x):
     return 0.5 * np.log(np.pi / (2.0 * x)) - x
 
 
-def _exp_e1(z):
-    """e^z E1(z) for z > 0, finite where e^z alone would overflow.
-
-    Uses scipy's exp1 below z = 700 and the asymptotic series
-    (1/z) sum_k (-1)^k k!/z^k above it.
-    """
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    low = z < _SERIES_FROM
-    z_low = z[low]
-    out[low] = _sp.exp1(z_low) * np.exp(z_low)
-    high = z[~low]
-    acc = np.ones_like(high)
-    for k in range(_SERIES_TERMS, 0, -1):
-        acc = 1.0 - k / high * acc
-    out[~low] = acc / high
-    return out
-
-
 def gig_moments(a, b):
-    """Mean, inverse-moment and log-moment of GIG(1/2, a, b) variables.
+    """Mean and inverse mean of GIG(1/2, a, b) variables.
 
     `a` is the rate-like parameter and `b` the inverse-scale-like one
     (density ~ x^{-1/2} e^{-(ax+b/x)/2}); either may be an array, and the
     moments have their broadcast shape. With r = sqrt(ab), the mean and
     inverse mean follow from the Bessel ratio K_{3/2}(r)/K_{1/2}(r) = 1 + 1/r.
-    The log-moment is 0.5*log(b/a) plus the order derivative of log K_t(r)
-    at t = 1/2, which equals e^{2r} E1(2r) (DLMF 10.38.7).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -106,8 +78,7 @@ def gig_moments(a, b):
     ratio = 1.0 + 1.0 / root
     mean = np.sqrt(b / a) * ratio
     inv_mean = np.sqrt(a / b) * ratio - 1.0 / b
-    log_mean = 0.5 * np.log(b / a) + _exp_e1(2.0 * root)
-    return mean, inv_mean, log_mean
+    return mean, inv_mean
 
 
 def _simpson(fa, fm, fb, h):

@@ -12,7 +12,7 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import digamma, inv_gamma_entropy
+from .special_math import gamma_entropy
 
 
 @dataclass
@@ -122,27 +122,21 @@ def elbo_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> dict:
     d_diag = np.diag(d_beta)
     p_slope = state.p_incl[1:]
     e_t2i = state.e_tau2_inv
-    e_log_tau2 = np.log(state.beta_tau2) - digamma(state.alpha_tau2)
-    p = dataset.p
-    e_log_a = np.log(state.rate_a) - digamma(1.0)
     mix = state.p_incl + (1.0 - state.p_incl) / hp.c
     z_prior, pi_prior, z_entropy, pi_entropy = indicator_terms(state, hp)
     return {
         "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
-        # the log tau^2 weight mirrors the (p-1)/2 shape the variance factor
-        # is fitted with, keeping that update the term's exact maximizer
-        "beta_prior": -0.5 * (p - 2) * e_log_tau2
-        - 0.5 * np.log(hp.c) * float(np.sum(1.0 - p_slope))
+        "beta_prior": -0.5 * np.log(hp.c) * float(np.sum(1.0 - p_slope))
         - 0.5 * e_t2i * float(np.sum(mix * d_diag)),
         "z_prior": z_prior,
         "pi_prior": pi_prior,
-        "tau2_prior": -0.5 * e_log_a - 1.5 * e_log_tau2 - e_t2i * state.e_a_inv,
-        "a_prior": -1.5 * e_log_a - state.e_a_inv / hp.A,
+        "tau2_prior": -e_t2i * state.e_a_inv,
+        "a_prior": -state.e_a_inv / hp.A,
         "beta_entropy": 0.5 * state.logdet_sigma,
         "z_entropy": z_entropy,
         "pi_entropy": pi_entropy,
-        "tau2_entropy": inv_gamma_entropy(state.alpha_tau2, state.beta_tau2),
-        "a_entropy": inv_gamma_entropy(1.0, state.rate_a),
+        "tau2_entropy": gamma_entropy(state.alpha_tau2, state.beta_tau2),
+        "a_entropy": gamma_entropy(1.0, state.rate_a),
     }
 
 
@@ -156,18 +150,15 @@ def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     and the one reaching the higher bound is kept.
     """
     hp = hp or Hyperparameters()
-    best = None
-    first_error = None
+    runs, errors = [], []
     for p_start in (0.5, 0.9):
         try:
-            run = cavi.run(init_cs(dataset, hp, p_start), dataset, hp, update_cs, elbo_cs)
+            runs.append(cavi.run(init_cs(dataset, hp, p_start), dataset, hp, update_cs, elbo_cs))
         except DivergenceError as exc:
-            first_error = first_error or exc
-            continue
-        if best is None or run.trace[-1] > best.trace[-1]:
-            best = run
-    if best is None:
-        raise first_error
+            errors.append(exc)
+    if not runs:
+        raise errors[0]
+    best = max(runs, key=lambda run: run.trace[-1])  # a tie keeps the first start
     state = best.state
     # coefficient posterior with every coefficient held in the slab, for
     # interval summaries that should not inherit spike commitment

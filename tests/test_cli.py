@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbpoisson import harness
 from vbpoisson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _destandardize, _standardize, cli
 from vbpoisson.core import Dataset, FitResult, GaussianPosterior, Method
 
@@ -120,6 +121,33 @@ def test_a_directory_in_place_of_a_file_exits_two(tmp_path, data_csv, capsys, co
     assert cli([command, *(x for kv in args.items() for x in kv)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("command, flag", [("fit", "--out"), ("simulate", "--out"),
+                                           ("simulate", "--summary-out")])
+def test_an_unwritable_output_path_exits_two_before_any_fit(
+    tmp_path, data_csv, capsys, monkeypatch, command, flag, target
+):
+    def refuse(*_args):
+        raise AssertionError("a fit ran before the output paths were checked")
+
+    for method in Method:
+        monkeypatch.setitem(harness.FITTERS, method, refuse)
+    args = {
+        "fit": {"--method": "laplace", "--data": data_csv, "--response": "y",
+                "--out": str(tmp_path / "o.json")},
+        "simulate": {"--scenario": "low", "--replications": "1", "--out": str(tmp_path / "o.csv"),
+                     "--summary-out": str(tmp_path / "o.summary")},
+    }[command]
+    bad = tmp_path if target == "directory" else tmp_path / "missing" / "o.out"
+    args[flag] = str(bad)
+    with pytest.raises(OSError) as opened:  # what writing the file would raise
+        open(bad, "w", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli([command, *(x for kv in args.items() for x in kv)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {opened.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("flag", ["--data", "--config"])

@@ -4,8 +4,10 @@
     python tools/parity.py --src src --out new.json
     python tools/parity.py --compare old.json new.json --allow elbo_trace@laplace
 
-The set: 3 engines on `low`/`high` replications t < 8 and 30 ascent datasets,
-with a 1,500-iteration chain per engine on `low` t < 3; a fixed grid of 24
+The set: 3 engines on `low`/`high` replications t < 8, 30 ascent datasets and
+4 response-only datasets (intercept-only fits, keyed `const0.p1` to
+`const3.p1`, so `@p1.cs` scopes an allow to CS at p = 1), with a
+1,500-iteration chain per engine on `low` t < 3; a fixed grid of 24
 library predictive rows; `fit` (3 methods, standardised or not) on two
 2000x30 and two 150x4 CSVs, with `predict` on each bundle; `simulate` `low`
 (3 reps) and `high` (1 rep); `validate` on one clean and one dirty CSV. The
@@ -70,6 +72,10 @@ def _library_cases():
         beta[[2, 5]] = rng.normal(0.7, 0.3, size=2)
         y = rng.poisson(np.exp(np.clip(x @ beta, None, 6.0))).astype(float)
         yield f"ascent{s}", Dataset(x, y), Hyperparameters()
+    for s, n in enumerate((5, 12, 30, 60)):  # intercept-only fits, where p = 1
+        rng = np.random.default_rng([902, s])
+        y = rng.poisson(np.exp(rng.uniform(-0.5, 1.5)), size=n).astype(float)
+        yield f"const{s}.p1", Dataset(np.ones((n, 1)), y), Hyperparameters()
 
 
 _CHAIN_CASES = ("low0", "low1", "low2")
