@@ -119,19 +119,15 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
     mu, sigma = state.posterior.mean, state.posterior.covariance
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
-    mask_prior, pi_prior, mask_entropy, pi_entropy = indicator_terms(state, hp)
     return {
         "likelihood": approx_loglik(
             state.quad, state.linear_coef, state.quad.s_x_xi * omega_from_p(state.p_incl), d_beta
         ),
         "beta_prior": -0.5 * float(np.sum(d_diag * state.e_alpha)),
-        "gamma_prior": mask_prior,
+        **indicator_terms(state, hp, "gamma"),
         "alpha_prior": -hp.b_gamma * float(np.sum(state.e_alpha)),
-        "pi_prior": pi_prior,
         "beta_entropy": 0.5 * state.logdet_sigma,
-        "gamma_entropy": mask_entropy,
         "alpha_entropy": float(np.sum(gamma_entropy(hp.a_gamma + 0.5, state.rate_alpha))),
-        "pi_entropy": pi_entropy,
     }
 
 

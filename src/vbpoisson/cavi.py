@@ -15,12 +15,11 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import betaln, digamma, entr, expit
 
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import refresh
-from .special_math import digamma, log_gamma
 
 # Inclusion probabilities move only half way toward their coordinate optimum.
 # The bound is concave in each probability, so the partial step still ascends,
@@ -110,33 +109,19 @@ def damped_step(p_incl, arg):
     return (1.0 - _DAMPING) * p_incl + _DAMPING * expit(arg)
 
 
-def _entropy_bernoulli(p: np.ndarray) -> float:
-    p = np.clip(p, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        t = t + np.where(p < 1.0, (1.0 - p) * np.log(np.where(p < 1.0, 1.0 - p, 1.0)), 0.0)
-    return float(np.sum(t))
-
-
-def indicator_terms(state, hp: Hyperparameters) -> tuple[float, float, float, float]:
-    """ELBO terms of the slope indicators and their Beta factors: (indicator
-    prior, pi prior, indicator entropy, pi entropy)."""
+def indicator_terms(state, hp: Hyperparameters, name: str) -> dict:
+    """ELBO terms of the slope indicators, which the engine calls `name`, and
+    of their Beta factors: both priors and both entropies."""
     p_slope = state.p_incl[1:]
     e_log_pi, e_log_1mpi = state.e_log_pi[1:], state.e_log_1mpi[1:]
     # the Beta factor was last refitted at these inclusion values
     pi_alpha = hp.rho1 + state.pi_p[1:]
     pi_beta = hp.rho2 - state.pi_p[1:] + 1.0
-    return (
-        float(np.sum(p_slope * e_log_pi + (1.0 - p_slope) * e_log_1mpi)),
-        (hp.rho1 - 1.0) * np.sum(e_log_pi) + (hp.rho2 - 1.0) * np.sum(e_log_1mpi),
-        -_entropy_bernoulli(p_slope),
-        float(
-            np.sum(
-                log_gamma(pi_alpha)
-                + log_gamma(pi_beta)
-                - log_gamma(pi_alpha + pi_beta)
-                - (pi_alpha - 1.0) * e_log_pi
-                - (pi_beta - 1.0) * e_log_1mpi
-            )
-        ),
-    )
+    return {
+        f"{name}_prior": float(np.sum(p_slope * e_log_pi + (1.0 - p_slope) * e_log_1mpi)),
+        "pi_prior": (hp.rho1 - 1.0) * np.sum(e_log_pi) + (hp.rho2 - 1.0) * np.sum(e_log_1mpi),
+        f"{name}_entropy": float(np.sum(entr(p_slope) + entr(1.0 - p_slope))),
+        "pi_entropy": float(np.sum(
+            betaln(pi_alpha, pi_beta) - (pi_alpha - 1.0) * e_log_pi - (pi_beta - 1.0) * e_log_1mpi
+        )),
+    }

@@ -11,7 +11,7 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, approx_loglik, refresh
 from .linalg import gaussian_factor, single_blas_thread
-from .special_math import gamma_entropy, gig_moments, log_bessel_k_half
+from .special_math import gamma_entropy, gig_moments
 
 
 @dataclass
@@ -101,7 +101,6 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     d_beta = np.outer(mu, mu) + sigma
     d_diag = np.diag(d_beta)
     p = dataset.p
-    root = np.sqrt(state.e_eta * d_diag[1:])
     return {
         "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
         "beta_prior": -0.5 * float(np.sum(state.e_tau_inv * d_diag)),
@@ -110,13 +109,10 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
         "tau0_prior": -state.e_a_inv * state.e_tau_inv[0],
         "a_prior": -state.e_a_inv / hp.A,
         "beta_entropy": 0.5 * state.logdet_sigma,
-        "tau_entropy": float(
-            np.sum(
-                -0.25 * np.log(state.e_eta / d_diag[1:])
-                + log_bessel_k_half(root)
-                + 0.5 * (state.e_eta * state.e_tau[1:] + d_diag[1:] * state.e_tau_inv[1:])
-            )
-        ),
+        # the GIG(1/2, E eta, d_j) entropies less E log tau_j: at r = sqrt(E eta d_j),
+        # K_1/2(r) = sqrt(pi/2r)e^-r, E eta E tau_j = 1 + r and d_j E 1/tau_j = r, which
+        # hold on each state update_hypers_laplace built, not init_laplace's (never scored)
+        "tau_entropy": (p - 1) * (0.5 + 0.5 * np.log(np.pi / 2.0) - 0.5 * np.log(state.e_eta)),
         "tau0_entropy": gamma_entropy(1.0, state.rate_tau0),
         "eta_entropy": gamma_entropy(p + hp.nu - 1.0, state.rate_eta),
         "a_entropy": gamma_entropy(1.0, state.rate_a),

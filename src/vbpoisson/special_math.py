@@ -1,10 +1,10 @@
 """Special functions and 1-D quadrature that scipy lacks as such.
 
-`digamma` and `log_gamma` refuse arguments that are not positive;
-`gamma_entropy` is the part of a Gamma or inverse-Gamma factor's entropy
-that does not cancel in the bounds; `log_bessel_k_half` and `gig_moments`
-(the GIG(1/2) mean and inverse mean) are closed forms; `integrate_1d` is
-adaptive Simpson quadrature on a finite interval. All are pure functions.
+`log_gamma` refuses arguments that are not positive; `gamma_entropy` is the
+part of a Gamma or inverse-Gamma factor's entropy that does not cancel in the
+bounds; `gig_moments` (the GIG(1/2) mean and inverse mean) is a closed form;
+`integrate_1d` is adaptive Simpson quadrature on a finite interval. All are
+pure functions.
 """
 
 from __future__ import annotations
@@ -17,22 +17,13 @@ from scipy import special as _sp
 from .errors import IntegrationError
 
 __all__ = [
-    "digamma",
     "log_gamma",
     "gamma_entropy",
-    "log_bessel_k_half",
     "gig_moments",
     "integrate_1d",
 ]
 
 _MAX_DEPTH = 60
-
-
-def digamma(x):
-    """Digamma function, restricted to positive arguments."""
-    if np.any(np.asarray(x) <= 0.0):
-        raise ValueError("digamma requires x > 0")
-    return _sp.digamma(x)
 
 
 def log_gamma(x):
@@ -51,14 +42,6 @@ def gamma_entropy(shape, rate):
     with the priors' E log x terms it cancels.
     """
     return -shape * np.log(rate) + log_gamma(shape) + shape
-
-
-def log_bessel_k_half(x):
-    """log K_{1/2}(x) via the closed form 0.5*log(pi/(2x)) - x."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_bessel_k_half requires x > 0")
-    return 0.5 * np.log(np.pi / (2.0 * x)) - x
 
 
 def gig_moments(a, b):

@@ -123,18 +123,14 @@ def elbo_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> dict:
     p_slope = state.p_incl[1:]
     e_t2i = state.e_tau2_inv
     mix = state.p_incl + (1.0 - state.p_incl) / hp.c
-    z_prior, pi_prior, z_entropy, pi_entropy = indicator_terms(state, hp)
     return {
         "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
         "beta_prior": -0.5 * np.log(hp.c) * float(np.sum(1.0 - p_slope))
         - 0.5 * e_t2i * float(np.sum(mix * d_diag)),
-        "z_prior": z_prior,
-        "pi_prior": pi_prior,
+        **indicator_terms(state, hp, "z"),
         "tau2_prior": -e_t2i * state.e_a_inv,
         "a_prior": -state.e_a_inv / hp.A,
         "beta_entropy": 0.5 * state.logdet_sigma,
-        "z_entropy": z_entropy,
-        "pi_entropy": pi_entropy,
         "tau2_entropy": gamma_entropy(state.alpha_tau2, state.beta_tau2),
         "a_entropy": gamma_entropy(1.0, state.rate_a),
     }
@@ -146,12 +142,12 @@ def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
 
     The bound is multimodal in the inclusion probabilities: a neutral start
     can settle with every coefficient assigned to the spike while a
-    slab-leaning start separates signals from noise.  Both starts are run
-    and the one reaching the higher bound is kept.
+    slab-leaning start separates signals from noise.  Both starts are run (at
+    p = 1, where they coincide, only the first) and the higher bound is kept.
     """
     hp = hp or Hyperparameters()
     runs, errors = [], []
-    for p_start in (0.5, 0.9):
+    for p_start in (0.5, 0.9) if dataset.p > 1 else (0.5,):
         try:
             runs.append(cavi.run(init_cs(dataset, hp, p_start), dataset, hp, update_cs, elbo_cs))
         except DivergenceError as exc:

@@ -100,9 +100,9 @@ def test_file_errors_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# output paths are checked by test_an_unwritable_output_path_exits_two_before_any_fit
 @pytest.mark.parametrize("command, flag", [("fit", "--data"), ("fit", "--config"),
-                                           ("fit", "--out"), ("predict", "--model"),
-                                           ("simulate", "--out")])
+                                           ("predict", "--model")])
 def test_a_directory_in_place_of_a_file_exits_two(tmp_path, data_csv, capsys, command, flag):
     model = tmp_path / "fit.json"
     assert cli(["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
@@ -113,8 +113,6 @@ def test_a_directory_in_place_of_a_file_exits_two(tmp_path, data_csv, capsys, co
         "fit": {"--method": "laplace", "--data": data_csv, "--response": "y",
                 "--out": str(tmp_path / "o.json")},
         "predict": {"--model": str(model), "--data": str(new), "--out": str(tmp_path / "p.json")},
-        "simulate": {"--scenario": "low", "--replications": "1", "--methods": "laplace",
-                     "--out": str(tmp_path / "o.csv")},
     }[command]
     args[flag] = str(tmp_path)
     capsys.readouterr()

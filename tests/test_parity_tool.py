@@ -92,6 +92,18 @@ def test_a_move_outside_the_scope_is_named(tmp_path, capsys):
     assert line.startswith("MOVED") and line.endswith("NOT ALLOWED in low0.cs")
 
 
+def test_a_moved_field_names_the_case_of_its_largest_relative_move(tmp_path, capsys):
+    # the same absolute move is larger, relative to its value, on low0.laplace
+    b = _moved(("result.elbo_trace", "low0.laplace"), ("result.elbo_trace", "low0.cs"),
+               ("result.method", "low0.laplace"))
+    assert _exit(tmp_path, _BASE, b, "elbo_trace", "method") == 0
+    lines = capsys.readouterr().out.splitlines()
+    trace = next(x for x in lines if "result.elbo_trace" in x)
+    assert trace.startswith("MOVED") and trace.endswith(f"rel {1e-9 / 9.0:.3g} (at low0.laplace)")
+    assert next(x for x in lines if "result.method" in x).endswith("rel inf (at low0.laplace)")
+    assert next(x for x in lines if "e_tau_inv" in x).endswith("rel 0")
+
+
 @pytest.mark.parametrize(
     "files, allow, code",
     [

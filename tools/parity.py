@@ -18,8 +18,9 @@ keyed by its case (`low0.cs`, `grid.7`, `d1-laplace.bundle`, `low.laplace.2`,
 `d1-laplace.17`); and a sha256 of every other output file and of each
 command's exit code and streams, keyed by the path or command line.
 
-`--compare` prints the largest move per field and file, and exits 1 if any
-moved outside `--allow`. `--allow NAME` matches a field named NAME or ending in
+`--compare` prints the largest move per field, with the case of its largest
+relative move, and whether each file moved, and exits 1 if any moved outside
+`--allow`. `--allow NAME` matches a field named NAME or ending in
 `.NAME`, and a file whose key is NAME, ends in `.NAME` (`summary`) or is
 the streams of a NAME command (`fit`, `predict`, `simulate`, `validate`).
 `--allow NAME@TEXT` allows those moves only in the cases and file keys that
@@ -230,7 +231,7 @@ def compare(a, b, allow):
     for name in sorted(set(a["fields"]) | set(b["fields"])):
         fa, fb = a["fields"].get(name, {}), b["fields"].get(name, {})
         d_abs = d_rel = 0.0
-        refused = []
+        worst, refused = None, []
         for case in sorted(set(fa) | set(fb)):
             va, vb = fa.get(case), fb.get(case)
             c_abs = c_rel = 0.0
@@ -242,11 +243,14 @@ def compare(a, b, allow):
                 c_abs, c_rel = float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
             elif va != vb:
                 c_abs = c_rel = np.inf
+            if c_rel > d_rel:
+                worst = case
             d_abs, d_rel = max(d_abs, c_abs), max(d_rel, c_rel)
             if c_abs > 0 and not _allowed(allow, name, case):
                 refused.append(case)
         bad += bool(refused)
         print(f"{'MOVED' if d_abs > 0 else 'same '} {name}: abs {d_abs:.3g} rel {d_rel:.3g}"
+              + (f" (at {worst})" if d_abs > 0 else "")
               + (f" NOT ALLOWED in {', '.join(refused[:5])}" if refused else ""))
     for key in sorted(set(a["files"]) | set(b["files"])):
         moved = a["files"].get(key) != b["files"].get(key)
