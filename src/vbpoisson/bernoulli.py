@@ -64,10 +64,18 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
 
 
 def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianPosterior, float]:
-    """Gaussian coefficient factor under the masked design moments."""
+    """Gaussian coefficient factor under the masked design moments.
+
+    S o Omega = P S P + diag(p (1 - p) o diag S) with P = diag(p), so the
+    precision is diag(e_alpha + p (1 - p) o diag S) + R^T R with R = W^(1/2) X P.
+    """
+    s, p = state.quad.s_x_xi, state.p_incl
     return gaussian_factor(
-        state.quad.s_x_xi * omega_from_p(state.p_incl) + np.diag(state.e_alpha),
-        state.p_incl * state.quad.score,
+        state.e_alpha + p * (1.0 - p) * np.diag(s),
+        state.quad,
+        p * state.quad.score,
+        col=p,
+        dense=lambda: s * omega_from_p(p) + np.diag(state.e_alpha),
     )
 
 
@@ -86,16 +94,15 @@ def update_alpha_bernoulli(
 def update_gamma_bernoulli(state: BernoulliState) -> np.ndarray:
     """Sequential damped mask-probability sweep; each slope sees the freshest values."""
     mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_beta = np.outer(mu, mu) + sigma
-    s, score = state.quad.s_x_xi, state.quad.score
+    cross = state.quad.s_x_xi * (np.outer(mu, mu) + sigma)
+    score = state.quad.score
     p_new = state.p_incl.copy()
     p_new[0] = 1.0
     for j in range(1, mu.shape[0]):
-        cross = s[j] * d_beta[j]
         arg = (
             score[j] * mu[j]
-            - 0.5 * s[j, j] * d_beta[j, j]
-            - (p_new @ cross - p_new[j] * cross[j])
+            - 0.5 * cross[j, j]
+            - (p_new @ cross[j] - p_new[j] * cross[j, j])
             + state.e_log_pi[j]
             - state.e_log_1mpi[j]
         )

@@ -61,7 +61,7 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
 
 def update_beta_laplace(state: LaplaceState) -> tuple[GaussianPosterior, float]:
     """Gaussian coefficient factor at fixed xi, with its log-determinant."""
-    return gaussian_factor(state.quad.s_x_xi + np.diag(state.e_tau_inv), state.quad.score)
+    return gaussian_factor(state.e_tau_inv, state.quad, state.quad.score)
 
 
 def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceState:

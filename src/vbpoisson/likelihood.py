@@ -29,12 +29,20 @@ class QuadApprox:
 
     s_x_xi holds the exp-weighted design cross-product sum(e^xi_i x_i x_i^T)
     and score the surrogate's linear term X^T (y - e^xi (1 - xi)), which every
-    engine's coefficient update and expected log-likelihood read.
+    engine's coefficient update and expected log-likelihood read; design is
+    the dataset's, kept for `root`.
     """
 
     xi: np.ndarray
     s_x_xi: np.ndarray
     score: np.ndarray
+    design: np.ndarray
+
+    def root(self, col: np.ndarray | None = None) -> np.ndarray:
+        """The n x p root R = W^(1/2) X of s_x_xi, W = diag(e^xi), with its
+        columns scaled by col if given; formed on each call."""
+        r = np.exp(0.5 * self.xi)[:, None] * self.design
+        return r if col is None else r * col
 
 
 def refresh(xi: np.ndarray, dataset: Dataset) -> QuadApprox:
@@ -49,7 +57,7 @@ def refresh(xi: np.ndarray, dataset: Dataset) -> QuadApprox:
     x = dataset.design
     s_x_xi = (x * w[:, None]).T @ x
     s_x_xi = 0.5 * (s_x_xi + s_x_xi.T)
-    return QuadApprox(xi=xi, s_x_xi=s_x_xi, score=x.T @ (dataset.response - m_xi))
+    return QuadApprox(xi=xi, s_x_xi=s_x_xi, score=x.T @ (dataset.response - m_xi), design=x)
 
 
 def poisson_logpmf(y: np.ndarray, log_rate: np.ndarray) -> np.ndarray:

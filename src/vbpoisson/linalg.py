@@ -7,6 +7,8 @@ import contextlib
 import ctypes
 import os
 import threading
+from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import linalg as _la
@@ -14,6 +16,9 @@ from scipy.linalg import lapack as _lapack
 
 from .core import GaussianPosterior
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    from .likelihood import QuadApprox
 
 # (get, set) symbol names of the OpenBLAS builds numpy and scipy ship, then
 # of a plain system OpenBLAS
@@ -125,8 +130,48 @@ def pd_inverse(precision: np.ndarray) -> tuple[np.ndarray, float]:
     return inv, -logdet_precision
 
 
-def gaussian_factor(precision: np.ndarray, score: np.ndarray) -> tuple[GaussianPosterior, float]:
-    """Gaussian with this precision and mean precision^-1 score; returns it
-    with the log-determinant of its covariance."""
-    sigma, logdet = pd_inverse(precision)
+def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse and log|inverse| of diag(d) + root^T root through the n x n
+    capacitance matrix C = I + R D^-1 R^T, for an n x p root R with n < p.
+
+    With C = L L^T and V = L^-1 R D^-1, the inverse is D^-1 - V^T V (Woodbury)
+    and |D + R^T R| = |D| |C| (the matrix determinant lemma). C is at least I,
+    so its Cholesky needs no jitter; d must be positive and finite.
+    """
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise NumericalError("precision diagonal is not positive and finite")
+    scaled = root / d
+    cap = scaled @ root.T
+    cap.flat[:: cap.shape[0] + 1] += 1.0
+    try:
+        chol = _la.cholesky(cap, lower=True)
+    except (_la.LinAlgError, ValueError):  # ValueError: an entry overflowed to inf
+        raise NumericalError("capacitance matrix is not positive definite") from None
+    v = _la.solve_triangular(chol, scaled, lower=True, check_finite=False)
+    inv = -(v.T @ v)
+    inv.flat[:: d.shape[0] + 1] += 1.0 / d
+    return inv, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def gaussian_factor(
+    d: np.ndarray,
+    quad: QuadApprox,
+    score: np.ndarray,
+    col: np.ndarray | None = None,
+    dense: Callable[[], np.ndarray] | None = None,
+) -> tuple[GaussianPosterior, float]:
+    """Gaussian with precision diag(d) + R^T R and mean precision^-1 score;
+    returns it with the log-determinant of its covariance.
+
+    R = `quad.root(col)`, the bound's n x p root with its columns scaled by
+    col, so R^T R is `quad.s_x_xi` scaled by col on both sides. With fewer
+    rows than columns the solve runs through the n x n capacitance matrix;
+    otherwise pd_inverse inverts `dense()`, the same precision as one p x p
+    matrix (by default s_x_xi + diag(d)), and R is never formed.
+    """
+    n, p = quad.design.shape
+    if n < p:
+        sigma, logdet = capacitance_inverse(d, quad.root(col))
+    else:
+        sigma, logdet = pd_inverse(quad.s_x_xi + np.diag(d) if dense is None else dense())
     return GaussianPosterior(mean=sigma @ score, covariance=sigma), logdet

@@ -40,7 +40,10 @@ def default_grid(mu: np.ndarray) -> np.ndarray:
     """Log-spaced threshold grid from 1e-4 up to the largest slope magnitude."""
     top = float(np.max(np.abs(mu[1:]))) if mu.shape[0] > 1 else 1e-4
     top = max(top, 1e-4)
-    return np.logspace(-4, np.log10(top), _GRID_SIZE)
+    grid = np.logspace(-4, np.log10(top), _GRID_SIZE)
+    # 10**log10(top) can round an ulp below top, where it would keep that slope
+    grid[-1] = top
+    return grid
 
 
 def _aic(loglik: float, df: int) -> float:

@@ -70,7 +70,7 @@ def init_cs(dataset: Dataset, hp: Hyperparameters, p_start: float = 0.5) -> CsSt
 def update_beta_cs(state: CsState, hp: Hyperparameters) -> tuple[GaussianPosterior, float]:
     """Gaussian coefficient factor under the mixed spike/slab precision."""
     prior_prec = state.e_tau2_inv * (state.p_incl + (1.0 - state.p_incl) / hp.c)
-    return gaussian_factor(state.quad.s_x_xi + np.diag(prior_prec), state.quad.score)
+    return gaussian_factor(prior_prec, state.quad, state.quad.score)
 
 
 def update_tau2_cs(state: CsState, hp: Hyperparameters) -> tuple[float, float]:
@@ -158,9 +158,7 @@ def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     state = best.state
     # coefficient posterior with every coefficient held in the slab, for
     # interval summaries that should not inherit spike commitment
-    slab, _ = gaussian_factor(
-        state.quad.s_x_xi + state.e_tau2_inv * np.eye(dataset.p), state.quad.score
-    )
+    slab, _ = gaussian_factor(np.full(dataset.p, state.e_tau2_inv), state.quad, state.quad.score)
     return best.fit_result(
         Method.CS,
         state.p_incl.copy(),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy import special as sp
 
-from vbpoisson import cavi, spike_slab
+from vbpoisson import bernoulli, cavi, laplace, spike_slab
 from vbpoisson.bernoulli import (
     elbo_bernoulli, fit_bernoulli, init_bernoulli, omega_from_p, update_bernoulli,
 )
@@ -15,6 +15,7 @@ from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.harness import LOW_DIM, generate
 from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_laplace
 from vbpoisson.likelihood import refresh
+from vbpoisson.linalg import pd_inverse
 from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
 
@@ -51,6 +52,36 @@ def test_bernoulli_init_mask_moments():
     state = init_bernoulli(ds, Hyperparameters())
     assert state.p_incl[0] == 1.0
     np.testing.assert_allclose(state.p_incl[1:], 0.5)
+
+
+@pytest.mark.parametrize("engine", ["laplace", "cs", "bernoulli"])
+def test_a_wide_design_gets_the_factor_of_the_dense_precision(engine):
+    # n < p runs the capacitance solve; inverting the precision the n >= p path
+    # forms must give the same factor on the engine's own states
+    ds, _ = _small_data(n=15, p=40)
+    hp = Hyperparameters()
+    init, update, beta = {
+        "laplace": (init_laplace, update_laplace, laplace.update_beta_laplace),
+        "cs": (init_cs, update_cs, lambda s: spike_slab.update_beta_cs(s, hp)),
+        "bernoulli": (init_bernoulli, update_bernoulli, bernoulli.update_beta_bernoulli),
+    }[engine]
+    state = init(ds, hp)
+    for _ in range(3):
+        state = update(state, ds, hp)
+    s, score = state.quad.s_x_xi, state.quad.score
+    if engine == "laplace":
+        precision = s + np.diag(state.e_tau_inv)
+    elif engine == "cs":
+        precision = s + np.diag(state.e_tau2_inv * (state.p_incl + (1.0 - state.p_incl) / hp.c))
+    else:
+        precision = s * omega_from_p(state.p_incl) + np.diag(state.e_alpha)
+        score = state.p_incl * score
+    sigma, logdet = pd_inverse(precision)
+    post, logdet_new = beta(state)
+    np.testing.assert_allclose(post.covariance, sigma, rtol=0, atol=1e-10 * np.max(np.abs(sigma)))
+    mean = sigma @ score
+    np.testing.assert_allclose(post.mean, mean, rtol=0, atol=1e-10 * np.max(np.abs(mean)))
+    assert logdet_new == pytest.approx(logdet, rel=1e-10)
 
 
 def test_omega_from_p_closed_form():

@@ -1,15 +1,19 @@
-"""SPD inverse and the single-thread BLAS pin every fit runs under."""
+"""SPD inverse, the n < p capacitance solve and the single-thread BLAS pin
+every fit runs under."""
 
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbpoisson import bernoulli, laplace, linalg, spike_slab
 from vbpoisson.core import Dataset
 from vbpoisson.errors import DivergenceError, NumericalError
-from vbpoisson.linalg import pd_inverse, single_blas_thread
+from vbpoisson.likelihood import refresh
+from vbpoisson.linalg import capacitance_inverse, gaussian_factor, pd_inverse, single_blas_thread
 
 
 class _FakePool:
@@ -99,16 +103,95 @@ def test_blas_pin_restores_after_an_exception_inside_a_fit(fake_pools):
     [(laplace, "fit_laplace"), (spike_slab, "fit_cs"), (bernoulli, "fit_bernoulli")],
 )
 def test_every_fit_runs_single_threaded(monkeypatch, fake_pools, module, fit):
-    seen = []
+    # n >= p runs pd_inverse, n < p the capacitance solve: record inside each
+    seen = {"pd_inverse": [], "capacitance_inverse": []}
+    for name in seen:
+        def recording(*args, _name=name, _inner=getattr(linalg, name)):
+            seen[_name].append([p.count for p in fake_pools])
+            return _inner(*args)
 
-    def recording_inverse(precision):
-        seen.append([p.count for p in fake_pools])
-        return pd_inverse(precision)
-
-    monkeypatch.setattr(linalg, "pd_inverse", recording_inverse)
-    getattr(module, fit)(_small_data())
-    assert seen and all(counts == [1, 1] for counts in seen)
+        monkeypatch.setattr(linalg, name, recording)
+    wide = _small_data(n=12, p=30)
+    for data, path in ((_small_data(), "pd_inverse"), (wide, "capacitance_inverse")):
+        before = {name: len(calls) for name, calls in seen.items()}
+        getattr(module, fit)(data)
+        assert len(seen[path]) > before[path]
+        assert all(len(seen[name]) == before[name] for name in seen if name != path)
+    assert all(counts == [1, 1] for calls in seen.values() for counts in calls)
     assert [p.count for p in fake_pools] == [2, 3]
+
+
+def _capacitance_case(seed, n, p, masked):
+    """A quad bound with n rows and p columns, weights e^xi for xi in [-5, 5],
+    a diagonal spread over 1e-6 to 1e6 and, if masked, column scales in (0, 1)."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    xi = rng.uniform(-5.0, 5.0, size=n)
+    quad = refresh(xi, Dataset(x, rng.poisson(2.0, size=n).astype(float)))
+    d = 10.0 ** rng.uniform(-6.0, 6.0, size=p)
+    col = rng.uniform(0.0, 1.0, size=p) if masked else None
+    return quad, d, rng.standard_normal(p), col
+
+
+def _root(quad, col):
+    """W^(1/2) X diag(col), formed here and not by QuadApprox.root."""
+    root = np.sqrt(np.exp(quad.xi))[:, None] * quad.design
+    return root if col is None else root * col[None, :]
+
+
+def _long_inverse(a):
+    """Inverse and log|inverse| of SPD `a` by pd_inverse's algorithm (Cholesky,
+    then the inverse of the factor) in extended precision."""
+    a = np.asarray(a, dtype=np.longdouble)
+    p = a.shape[0]
+    chol = np.zeros_like(a)
+    for j in range(p):
+        v = a[j:, j] - chol[j:, :j] @ chol[j, :j]
+        chol[j:, j] = v / np.sqrt(v[0])
+    inv_chol = np.zeros_like(a)
+    for i in range(p):
+        unit = np.zeros(p, dtype=np.longdouble)
+        unit[i] = 1.0
+        inv_chol[i] = (unit - chol[i, :i] @ inv_chol[:i]) / chol[i, i]
+    return inv_chol.T @ inv_chol, -2.0 * np.sum(np.log(np.diag(chol)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), masked=st.booleans())
+def test_the_capacitance_solve_matches_the_dense_inverse(data, seed, n, masked):
+    # the yardstick is the dense inverse of the assembled D + R^T R in extended
+    # precision: in float64 it misses by up to 1e-8 of max|Sigma| on these inputs
+    p = data.draw(st.integers(n + 1, 60), label="p")
+    quad, d, score, col = _capacitance_case(seed, n, p, masked)
+    post, logdet = gaussian_factor(d, quad, score, col=col)
+    root = _root(quad, col)
+    assembled = root.astype(np.longdouble).T @ root
+    assembled[np.diag_indices(p)] += d
+    sigma, logdet_ref = _long_inverse(assembled)
+    mean = (sigma @ score).astype(float)
+    sigma = sigma.astype(float)
+    # D^-1 - V^T V cancels where the data pin a coefficient its prior leaves
+    # loose: its rounding is that of V, eps sqrt(cond C) relative to max 1/d
+    g = root / np.sqrt(d)
+    cond = np.linalg.cond(np.eye(n) + g @ g.T)
+    floor = 4.0 * np.finfo(float).eps * np.max(1.0 / d) * np.sqrt(cond)
+    np.testing.assert_allclose(
+        post.covariance, sigma, rtol=0, atol=1e-10 * np.max(np.abs(sigma)) + floor)
+    np.testing.assert_allclose(
+        post.mean, mean, rtol=0, atol=1e-10 * np.max(np.abs(mean)) + floor * np.sum(np.abs(score)))
+    np.testing.assert_array_equal(post.covariance, post.covariance.T)
+    assert logdet == pytest.approx(float(logdet_ref), rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+def test_the_capacitance_solve_rejects_a_diagonal_that_is_not_positive_and_finite(bad):
+    quad, d, score, _ = _capacitance_case(0, 5, 12, False)
+    d[3] = bad
+    with pytest.raises(NumericalError):
+        gaussian_factor(d, quad, score)
+    with pytest.raises(NumericalError):
+        capacitance_inverse(d, quad.root())
 
 
 def _real_pools():

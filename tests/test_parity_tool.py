@@ -104,6 +104,22 @@ def test_a_moved_field_names_the_case_of_its_largest_relative_move(tmp_path, cap
     assert next(x for x in lines if "e_tau_inv" in x).endswith("rel 0")
 
 
+def test_a_moved_field_reports_its_move_relative_to_the_largest_magnitude(tmp_path, capsys):
+    # an off-diagonal near zero inflates the elementwise move, not the norm-wise one
+    base = copy.deepcopy(_BASE)
+    base["fields"]["result.posterior.covariance"] = {
+        "high0.cs": [4.0, 1e-6, 1e-6, 2.0], "high1.cs": [8.0, 0.0, 0.0, 8.0]}
+    moved = copy.deepcopy(base)
+    moved["fields"]["result.posterior.covariance"]["high0.cs"] = [4.0, 1e-6 + 4e-12, 1e-6, 2.0]
+    moved["fields"]["result.posterior.covariance"]["high1.cs"] = [8.0, 0.0, 0.0, 8.0 + 4e-12]
+    assert _exit(tmp_path, base, moved, "covariance@high") == 0
+    line = next(x for x in capsys.readouterr().out.splitlines() if "covariance" in x)
+    assert line.startswith("MOVED")
+    # high0's 4e-12 over 4.0 beats high1's 4e-12 over 8.0, and its 1e-6 entry holds the
+    # largest elementwise move
+    assert f" norm {1e-12:.3g} rel {4e-12 / 1e-6:.3g} (at high0.cs)" in line
+
+
 @pytest.mark.parametrize(
     "files, allow, code",
     [

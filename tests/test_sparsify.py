@@ -134,3 +134,16 @@ def test_default_grid_spans_the_slopes():
     assert grid[0] == pytest.approx(1e-4)
     assert grid[-1] == pytest.approx(0.9)
     assert np.all(np.diff(grid) > 0.0)
+
+
+def test_the_top_threshold_zeroes_the_largest_slope():
+    # 10**log10(3.7) rounds an ulp below 3.7, where a plain logspace grid ends
+    mu = np.array([0.2, 0.4, -3.7, 0.05])
+    assert np.logspace(-4, np.log10(3.7), 50)[-1] < 3.7
+    grid = default_grid(mu)
+    assert grid[-1] == 3.7
+    np.testing.assert_array_equal(grid[:-1], np.logspace(-4, np.log10(3.7), 50)[:-1])
+    sparse = threshold_hard(_fit_from(mu), _dataset(), grid=grid[-1:])
+    assert sparse.kappa == 3.7
+    assert sparse.support == (0,)
+    np.testing.assert_array_equal(sparse.beta_hat, [0.2, 0.0, 0.0, 0.0])

@@ -18,8 +18,10 @@ keyed by its case (`low0.cs`, `grid.7`, `d1-laplace.bundle`, `low.laplace.2`,
 `d1-laplace.17`); and a sha256 of every other output file and of each
 command's exit code and streams, keyed by the path or command line.
 
-`--compare` prints the largest move per field, with the case of its largest
-relative move, and whether each file moved, and exits 1 if any moved outside
+`--compare` prints the largest move per field: absolute, norm-wise (a case's
+largest absolute move over that case's largest magnitude, which entries near
+zero do not inflate) and relative, with the case of its largest relative
+move. It prints whether each file moved, and exits 1 if any moved outside
 `--allow`. `--allow NAME` matches a field named NAME or ending in
 `.NAME`, and a file whose key is NAME, ends in `.NAME` (`summary`) or is
 the streams of a NAME command (`fit`, `predict`, `simulate`, `validate`).
@@ -230,26 +232,29 @@ def compare(a, b, allow):
     bad = 0
     for name in sorted(set(a["fields"]) | set(b["fields"])):
         fa, fb = a["fields"].get(name, {}), b["fields"].get(name, {})
-        d_abs = d_rel = 0.0
+        d_abs = d_rel = d_norm = 0.0
         worst, refused = None, []
         for case in sorted(set(fa) | set(fb)):
             va, vb = fa.get(case), fb.get(case)
-            c_abs = c_rel = 0.0
+            c_abs = c_rel = c_norm = 0.0
             if isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb):
                 x, y = np.array(va, dtype=float), np.array(vb, dtype=float)
                 same = (x == y) | (np.isnan(x) & np.isnan(y))
                 diff = np.where(same, 0.0, np.nan_to_num(np.abs(x - y), nan=np.inf))
                 rel = diff / np.maximum(np.abs(x), np.finfo(float).tiny)
                 c_abs, c_rel = float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
+                scale = np.nan_to_num(np.abs(x), nan=0.0).max(initial=0.0)
+                c_norm = c_abs / max(scale, np.finfo(float).tiny)
             elif va != vb:
-                c_abs = c_rel = np.inf
+                c_abs = c_rel = c_norm = np.inf
             if c_rel > d_rel:
                 worst = case
-            d_abs, d_rel = max(d_abs, c_abs), max(d_rel, c_rel)
+            d_abs, d_rel, d_norm = max(d_abs, c_abs), max(d_rel, c_rel), max(d_norm, c_norm)
             if c_abs > 0 and not _allowed(allow, name, case):
                 refused.append(case)
         bad += bool(refused)
-        print(f"{'MOVED' if d_abs > 0 else 'same '} {name}: abs {d_abs:.3g} rel {d_rel:.3g}"
+        print(f"{'MOVED' if d_abs > 0 else 'same '} {name}: abs {d_abs:.3g}"
+              + (f" norm {d_norm:.3g}" if d_abs > 0 else "") + f" rel {d_rel:.3g}"
               + (f" (at {worst})" if d_abs > 0 else "")
               + (f" NOT ALLOWED in {', '.join(refused[:5])}" if refused else ""))
     for key in sorted(set(a["files"]) | set(b["files"])):
