@@ -8,10 +8,10 @@ import numpy as np
 
 from . import cavi
 from .cavi import damped_step, indicator_terms, pi_expectations, update_pi
-from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
+from .core import Dataset, FitResult, Hyperparameters, Method
 from .errors import NumericalError
-from .likelihood import QuadApprox, approx_loglik, refresh
-from .linalg import gaussian_factor, single_blas_thread
+from .likelihood import QuadApprox, refresh
+from .linalg import GaussianFactor, gaussian_factor, single_blas_thread
 from .special_math import gamma_entropy
 
 
@@ -25,7 +25,7 @@ class BernoulliState:
     """Variational state for the Bernoulli-Gaussian engine; rate_alpha holds the
     rates of the Gamma precision factors (NaN until the first sweep)."""
 
-    posterior: GaussianPosterior
+    posterior: GaussianFactor
     p_incl: np.ndarray
     e_alpha: np.ndarray
     rate_alpha: np.ndarray
@@ -49,7 +49,7 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
     p_incl[0] = 1.0
     e_log_pi, e_log_1mpi = pi_expectations(p_incl, hp)
     state = BernoulliState(
-        posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
+        posterior=GaussianFactor(np.zeros(p), np.eye(p)),
         p_incl=p_incl,
         e_alpha=np.full(p, hp.a_gamma / hp.b_gamma),
         rate_alpha=np.full(p, np.nan),
@@ -63,7 +63,7 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
     return state
 
 
-def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianPosterior, float]:
+def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianFactor, float]:
     """Gaussian coefficient factor under the masked design moments.
 
     S o Omega = P S P + diag(p (1 - p) o diag S) with P = diag(p), so the
@@ -83,8 +83,7 @@ def update_alpha_bernoulli(
     state: BernoulliState, hp: Hyperparameters
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rates and means of the Gamma precision factors from fresh second moments."""
-    mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_diag = mu**2 + np.diag(sigma)
+    d_diag = state.posterior.second_moments
     if np.any(d_diag < 0.0):
         raise NumericalError("negative second-moment diagonal")
     rate = hp.b_gamma + 0.5 * d_diag
@@ -123,12 +122,11 @@ def update_bernoulli(
 
 def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters) -> dict:
     """Terms of the surrogate evidence lower bound, all non-constant ones."""
-    mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_beta = np.outer(mu, mu) + sigma
-    d_diag = np.diag(d_beta)
+    d_diag = state.posterior.second_moments
+    p = state.p_incl
     return {
-        "likelihood": approx_loglik(
-            state.quad, state.linear_coef, state.quad.s_x_xi * omega_from_p(state.p_incl), d_beta
+        "likelihood": state.posterior.expected_loglik(
+            state.quad, col=p, dense=lambda: state.quad.s_x_xi * omega_from_p(p)
         ),
         "beta_prior": -0.5 * float(np.sum(d_diag * state.e_alpha)),
         **indicator_terms(state, hp, "gamma"),

@@ -7,10 +7,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cavi
-from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
+from .core import Dataset, FitResult, Hyperparameters, Method
 from .errors import NumericalError
-from .likelihood import QuadApprox, approx_loglik, refresh
-from .linalg import gaussian_factor, single_blas_thread
+from .likelihood import QuadApprox, refresh
+from .linalg import GaussianFactor, gaussian_factor, single_blas_thread
 from .special_math import gamma_entropy, gig_moments
 
 
@@ -25,7 +25,7 @@ class LaplaceState:
     first sweep).
     """
 
-    posterior: GaussianPosterior
+    posterior: GaussianFactor
     e_tau: np.ndarray
     e_tau_inv: np.ndarray
     e_eta: float
@@ -47,7 +47,7 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
         raise ValueError("dataset must be non-empty")
     p = dataset.p
     state = LaplaceState(
-        posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
+        posterior=GaussianFactor(np.zeros(p), np.eye(p)),
         e_tau=np.ones(p),
         e_tau_inv=np.ones(p),
         e_eta=hp.nu / hp.delta,
@@ -59,15 +59,14 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
     return state
 
 
-def update_beta_laplace(state: LaplaceState) -> tuple[GaussianPosterior, float]:
+def update_beta_laplace(state: LaplaceState) -> tuple[GaussianFactor, float]:
     """Gaussian coefficient factor at fixed xi, with its log-determinant."""
     return gaussian_factor(state.e_tau_inv, state.quad, state.quad.score)
 
 
 def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceState:
     """One sweep over the scale hierarchy given fresh second moments."""
-    mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_diag = mu**2 + np.diag(sigma)
+    d_diag = state.posterior.second_moments
     if np.any(d_diag <= 0.0):
         raise NumericalError("second-moment diagonal is not positive")
     rate_eta = hp.delta + 0.5 * np.sum(state.e_tau[1:])
@@ -97,12 +96,10 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
     entropy so that each coordinate update is non-decreasing while the
     expansion points stay fixed.
     """
-    mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_beta = np.outer(mu, mu) + sigma
-    d_diag = np.diag(d_beta)
+    d_diag = state.posterior.second_moments
     p = dataset.p
     return {
-        "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
+        "likelihood": state.posterior.expected_loglik(state.quad),
         "beta_prior": -0.5 * float(np.sum(state.e_tau_inv * d_diag)),
         "tau_prior": -(p - 1) * np.log(2.0) - 0.5 * state.e_eta * np.sum(state.e_tau[1:]),
         "eta_prior": -hp.delta * state.e_eta,

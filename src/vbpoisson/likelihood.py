@@ -8,6 +8,7 @@ three fit engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,16 +28,24 @@ def quad_bound(x: float, xi: float) -> float:
 class QuadApprox:
     """Snapshot of the bound at expansion points xi.
 
-    s_x_xi holds the exp-weighted design cross-product sum(e^xi_i x_i x_i^T)
-    and score the surrogate's linear term X^T (y - e^xi (1 - xi)), which every
-    engine's coefficient update and expected log-likelihood read; design is
-    the dataset's, kept for `root`.
+    score holds the surrogate's linear term X^T (y - e^xi (1 - xi)), which
+    every engine's coefficient update and expected log-likelihood read;
+    design is the dataset's, kept for `root` and `s_x_xi`.
     """
 
     xi: np.ndarray
-    s_x_xi: np.ndarray
     score: np.ndarray
     design: np.ndarray
+
+    @cached_property
+    def s_x_xi(self) -> np.ndarray:
+        """The exp-weighted design cross-product sum(e^xi_i x_i x_i^T) = R^T R,
+        formed on the first read and kept. The n >= p solves and bounds read
+        it, and so do the Bernoulli engine's D and mask sweep; a Laplace or CS
+        sweep with n < p does not."""
+        x = self.design
+        s_x_xi = (x * np.exp(self.xi)[:, None]).T @ x
+        return 0.5 * (s_x_xi + s_x_xi.T)
 
     def root(self, col: np.ndarray | None = None) -> np.ndarray:
         """The n x p root R = W^(1/2) X of s_x_xi, W = diag(e^xi), with its
@@ -52,12 +61,9 @@ def refresh(xi: np.ndarray, dataset: Dataset) -> QuadApprox:
         raise ValueError("xi length must match the number of observations")
     if np.any(xi > XI_OVERFLOW):
         raise DivergenceError("linear predictor exceeded the overflow guard")
-    w = np.exp(xi)
-    m_xi = w * (1.0 - xi)
+    m_xi = np.exp(xi) * (1.0 - xi)
     x = dataset.design
-    s_x_xi = (x * w[:, None]).T @ x
-    s_x_xi = 0.5 * (s_x_xi + s_x_xi.T)
-    return QuadApprox(xi=xi, s_x_xi=s_x_xi, score=x.T @ (dataset.response - m_xi), design=x)
+    return QuadApprox(xi=xi, score=x.T @ (dataset.response - m_xi), design=x)
 
 
 def poisson_logpmf(y: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
@@ -68,9 +74,10 @@ def poisson_logpmf(y: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
 def approx_loglik(q: QuadApprox, v: np.ndarray, s_x: np.ndarray, d_beta: np.ndarray) -> float:
     """Expected surrogate log-likelihood at coefficient mean v and second moment
     d_beta, with s_x the design cross-product they meet; drops the log y! constant."""
-    return float(
-        q.score @ v
-        # both matrices are symmetric, so tr(S D) is their elementwise product sum
-        - 0.5 * np.vdot(s_x, d_beta)
-        - np.sum(np.exp(q.xi) * (1.0 - q.xi + 0.5 * q.xi**2))
-    )
+    # both matrices are symmetric, so tr(S D) is their elementwise product sum
+    return expected_surrogate(q, v, np.vdot(s_x, d_beta))
+
+
+def expected_surrogate(q: QuadApprox, v: np.ndarray, trace: float) -> float:
+    """approx_loglik given its trace term tr(S D) instead of S and D."""
+    return float(q.score @ v - 0.5 * trace - np.sum(np.exp(q.xi) * (1.0 - q.xi + 0.5 * q.xi**2)))

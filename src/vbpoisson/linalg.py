@@ -1,5 +1,6 @@
-"""Symmetric positive definite solves shared by the fit engines, and the
-BLAS thread pin every fit runs under."""
+"""Symmetric positive definite solves shared by the fit engines, the
+Gaussian coefficient factor they leave, and the BLAS thread pin every fit
+runs under."""
 
 from __future__ import annotations
 
@@ -8,17 +9,14 @@ import ctypes
 import os
 import threading
 from collections.abc import Callable
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as _la
 from scipy.linalg import lapack as _lapack
 
-from .core import GaussianPosterior
 from .errors import NumericalError
-
-if TYPE_CHECKING:
-    from .likelihood import QuadApprox
+from .likelihood import QuadApprox, approx_loglik, expected_surrogate
 
 # (get, set) symbol names of the OpenBLAS builds numpy and scipy ship, then
 # of a plain system OpenBLAS
@@ -131,12 +129,13 @@ def pd_inverse(precision: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and log|inverse| of diag(d) + root^T root through the n x n
-    capacitance matrix C = I + R D^-1 R^T, for an n x p root R with n < p.
+    """The inverse of diag(d) + root^T root, for an n x p root R with n < p, as
+    the n x p matrix V with inverse D^-1 - V^T V, and log|inverse|.
 
-    With C = L L^T and V = L^-1 R D^-1, the inverse is D^-1 - V^T V (Woodbury)
-    and |D + R^T R| = |D| |C| (the matrix determinant lemma). C is at least I,
-    so its Cholesky needs no jitter; d must be positive and finite.
+    Through the n x n capacitance matrix C = I + R D^-1 R^T = L L^T: V is
+    L^-1 R D^-1 (Woodbury) and |D + R^T R| = |D| |C| (the matrix determinant
+    lemma). C is at least I, so its Cholesky needs no jitter; d must be
+    positive and finite.
     """
     if not np.all((d > 0.0) & (d < np.inf)):
         raise NumericalError("precision diagonal is not positive and finite")
@@ -148,9 +147,81 @@ def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, fl
     except (_la.LinAlgError, ValueError):  # ValueError: an entry overflowed to inf
         raise NumericalError("capacitance matrix is not positive definite") from None
     v = _la.solve_triangular(chol, scaled, lower=True, check_finite=False)
-    inv = -(v.T @ v)
-    inv.flat[:: d.shape[0] + 1] += 1.0 / d
-    return inv, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return v, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+class GaussianFactor:
+    """Gaussian coefficient factor N(mean, Sigma) as one solve leaves it.
+
+    A dense solve holds Sigma. A capacitance solve holds d and V, with
+    Sigma = D^-1 - V^T V, so its variances and expected surrogate
+    log-likelihood cost O(np) and O(n^2 p); its p x p Sigma is formed on the
+    first read of `covariance` and kept.
+    """
+
+    def __init__(
+        self,
+        mean: np.ndarray,
+        sigma: np.ndarray | None = None,
+        d: np.ndarray | None = None,
+        v: np.ndarray | None = None,
+    ):
+        self.mean = mean
+        self._sigma, self._d, self._v = sigma, d, v
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Sigma as one p x p matrix."""
+        if self._v is None:
+            return self._sigma
+        sigma = -(self._v.T @ self._v)
+        sigma.flat[:: self._d.shape[0] + 1] += 1.0 / self._d
+        return sigma
+
+    @cached_property
+    def variances(self) -> np.ndarray:
+        """The diagonal of Sigma."""
+        if self._v is None:
+            return np.diag(self._sigma)
+        return 1.0 / self._d - np.einsum("ij,ij->j", self._v, self._v)
+
+    @cached_property
+    def second_moments(self) -> np.ndarray:
+        """E beta_j^2, the diagonal of mean mean^T + Sigma."""
+        return self.mean**2 + self.variances
+
+    def expected_loglik(
+        self,
+        quad: QuadApprox,
+        col: np.ndarray | None = None,
+        dense: Callable[[], np.ndarray] | None = None,
+    ) -> float:
+        """approx_loglik at the bound `quad` for the coefficients col * beta
+        (beta itself if col is None), beta drawn from this factor.
+
+        col is a mask's inclusion probabilities: the cross-product that
+        E[(col beta)(col beta)^T] meets is then S o Omega, with
+        Omega = col col^T + diag(col (1 - col)). A dense factor takes it from
+        `dense()` (by default s_x_xi, which is S). A capacitance factor never
+        forms it: with R = quad.root(col), the trace term is
+        |R mu|^2 + sum_ij r_ij^2 / d_j - |V R^T|^2, plus, for a mask,
+        sum_j col_j (1 - col_j) S_jj E beta_j^2.
+        """
+        mu = self.mean
+        coef = mu if col is None else col * mu
+        if self._v is None:
+            s_x = quad.s_x_xi if dense is None else dense()
+            return approx_loglik(quad, coef, s_x, np.outer(mu, mu) + self._sigma)
+        root = quad.root()
+        trace = 0.0
+        if col is not None:
+            s_diag = np.einsum("ij,ij->j", root, root)
+            trace = np.sum(col * (1.0 - col) * s_diag * self.second_moments)
+            root = root * col
+        fit = root @ mu
+        cross = self._v @ root.T
+        trace += fit @ fit + np.sum((root * root) @ (1.0 / self._d)) - np.vdot(cross, cross)
+        return expected_surrogate(quad, coef, trace)
 
 
 def gaussian_factor(
@@ -159,19 +230,29 @@ def gaussian_factor(
     score: np.ndarray,
     col: np.ndarray | None = None,
     dense: Callable[[], np.ndarray] | None = None,
-) -> tuple[GaussianPosterior, float]:
+) -> tuple[GaussianFactor, float]:
     """Gaussian with precision diag(d) + R^T R and mean precision^-1 score;
     returns it with the log-determinant of its covariance.
 
     R = `quad.root(col)`, the bound's n x p root with its columns scaled by
     col, so R^T R is `quad.s_x_xi` scaled by col on both sides. With fewer
-    rows than columns the solve runs through the n x n capacitance matrix;
-    otherwise pd_inverse inverts `dense()`, the same precision as one p x p
-    matrix (by default s_x_xi + diag(d)), and R is never formed.
+    rows than columns the solve runs through the n x n capacitance matrix and
+    forms no p x p matrix; otherwise pd_inverse inverts `dense()`, the same
+    precision as one p x p matrix (by default s_x_xi + diag(d)), and R is
+    never formed.
     """
     n, p = quad.design.shape
     if n < p:
-        sigma, logdet = capacitance_inverse(d, quad.root(col))
-    else:
-        sigma, logdet = pd_inverse(quad.s_x_xi + np.diag(d) if dense is None else dense())
-    return GaussianPosterior(mean=sigma @ score, covariance=sigma), logdet
+        root = quad.root(col)
+        v, logdet = capacitance_inverse(d, root)
+
+        def apply_sigma(b):
+            return b / d - v.T @ (v @ b)
+
+        # b / d and V^T V b cancel where the data pin a coefficient that its
+        # prior leaves loose, so one step of iterative refinement follows
+        mean = apply_sigma(score)
+        mean += apply_sigma(score - d * mean - root.T @ (root @ mean))
+        return GaussianFactor(mean, d=d, v=v), logdet
+    sigma, logdet = pd_inverse(quad.s_x_xi + np.diag(d) if dense is None else dense())
+    return GaussianFactor(sigma @ score, sigma), logdet

@@ -10,8 +10,8 @@ from . import cavi
 from .cavi import damped_step, indicator_terms, pi_expectations, update_pi
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
-from .likelihood import QuadApprox, approx_loglik, refresh
-from .linalg import gaussian_factor, single_blas_thread
+from .likelihood import QuadApprox, refresh
+from .linalg import GaussianFactor, gaussian_factor, single_blas_thread
 from .special_math import gamma_entropy
 
 
@@ -20,7 +20,7 @@ class CsState:
     """Variational state for the spike-and-slab engine; alpha_tau2 and beta_tau2
     are the inverse-Gamma slab variance's shape and rate, and rate_a is a's rate."""
 
-    posterior: GaussianPosterior
+    posterior: GaussianFactor
     p_incl: np.ndarray
     e_tau2_inv: float
     e_a_inv: float
@@ -50,7 +50,7 @@ def init_cs(dataset: Dataset, hp: Hyperparameters, p_start: float = 0.5) -> CsSt
     alpha = max((p - 1) / 2.0, 0.5)
     e_log_pi, e_log_1mpi = pi_expectations(p_incl, hp)
     state = CsState(
-        posterior=GaussianPosterior(np.zeros(p), np.eye(p)),
+        posterior=GaussianFactor(np.zeros(p), np.eye(p)),
         p_incl=p_incl,
         e_tau2_inv=1.0,
         e_a_inv=hp.A,
@@ -67,7 +67,7 @@ def init_cs(dataset: Dataset, hp: Hyperparameters, p_start: float = 0.5) -> CsSt
     return state
 
 
-def update_beta_cs(state: CsState, hp: Hyperparameters) -> tuple[GaussianPosterior, float]:
+def update_beta_cs(state: CsState, hp: Hyperparameters) -> tuple[GaussianFactor, float]:
     """Gaussian coefficient factor under the mixed spike/slab precision."""
     prior_prec = state.e_tau2_inv * (state.p_incl + (1.0 - state.p_incl) / hp.c)
     return gaussian_factor(prior_prec, state.quad, state.quad.score)
@@ -75,8 +75,7 @@ def update_beta_cs(state: CsState, hp: Hyperparameters) -> tuple[GaussianPosteri
 
 def update_tau2_cs(state: CsState, hp: Hyperparameters) -> tuple[float, float]:
     """Rate and inverse mean of the slab-variance factor from fresh second moments."""
-    mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_diag = mu**2 + np.diag(sigma)
+    d_diag = state.posterior.second_moments
     beta = (
         0.5 * np.sum(state.p_incl * d_diag)
         + np.sum((1.0 - state.p_incl) * d_diag) / (2.0 * hp.c)
@@ -89,8 +88,7 @@ def update_tau2_cs(state: CsState, hp: Hyperparameters) -> tuple[float, float]:
 
 def update_z_cs(state: CsState, hp: Hyperparameters) -> np.ndarray:
     """Damped inclusion-probability step; index 0 stays pinned at 1."""
-    mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_diag = mu**2 + np.diag(sigma)
+    d_diag = state.posterior.second_moments
     # the log(c)/2 offset is the slab/spike normalization ratio; without it
     # every probability saturates at one and the spike is never used
     arg = (
@@ -117,14 +115,12 @@ def update_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> CsState:
 
 def elbo_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> dict:
     """Terms of the surrogate evidence lower bound, all non-constant ones."""
-    mu, sigma = state.posterior.mean, state.posterior.covariance
-    d_beta = np.outer(mu, mu) + sigma
-    d_diag = np.diag(d_beta)
+    d_diag = state.posterior.second_moments
     p_slope = state.p_incl[1:]
     e_t2i = state.e_tau2_inv
     mix = state.p_incl + (1.0 - state.p_incl) / hp.c
     return {
-        "likelihood": approx_loglik(state.quad, mu, state.quad.s_x_xi, d_beta),
+        "likelihood": state.posterior.expected_loglik(state.quad),
         "beta_prior": -0.5 * np.log(hp.c) * float(np.sum(1.0 - p_slope))
         - 0.5 * e_t2i * float(np.sum(mix * d_diag)),
         **indicator_terms(state, hp, "z"),
@@ -170,5 +166,5 @@ def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
             "e_log_pi": state.e_log_pi.copy(),
             "e_log_1mpi": state.e_log_1mpi.copy(),
         },
-        interval_posterior=slab,
+        interval_posterior=GaussianPosterior(slab.mean, slab.covariance),
     )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vbpoisson import bernoulli, laplace, linalg, spike_slab
 from vbpoisson.core import Dataset
 from vbpoisson.errors import DivergenceError, NumericalError
-from vbpoisson.likelihood import refresh
+from vbpoisson.likelihood import approx_loglik, refresh
 from vbpoisson.linalg import capacitance_inverse, gaussian_factor, pd_inverse, single_blas_thread
 
 
@@ -192,6 +192,52 @@ def test_the_capacitance_solve_rejects_a_diagonal_that_is_not_positive_and_finit
         gaussian_factor(d, quad, score)
     with pytest.raises(NumericalError):
         capacitance_inverse(d, quad.root())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), masked=st.booleans())
+def test_the_low_rank_factor_matches_its_dense_covariance(data, seed, n, masked):
+    # as in an ELBO: the factor is solved at one xi (and mask), the bound it
+    # meets is refreshed at another
+    p = data.draw(st.integers(n + 1, 60), label="p")
+    quad, d, score, col = _capacitance_case(seed, n, p, masked)
+    factor, _ = gaussian_factor(d, quad, score, col=col)
+    rng = np.random.default_rng([seed, 1])
+    ds = Dataset(quad.design, rng.poisson(2.0, size=n).astype(float))
+    later = refresh(quad.xi + rng.normal(0.0, 0.5, size=n), ds)
+    mask = None if col is None else np.clip(col + rng.uniform(-0.2, 0.2, size=p), 0.0, 1.0)
+    mu, sigma = factor.mean, factor.covariance
+    d_beta = np.outer(mu, mu) + sigma
+    if mask is None:
+        dense = approx_loglik(later, mu, later.s_x_xi, d_beta)
+    else:
+        dense = approx_loglik(later, mask * mu, later.s_x_xi * bernoulli.omega_from_p(mask), d_beta)
+    # both forms read the same score, so they differ only in the rounding of
+    # the trace term: (n + p) eps times the sizes of its summands, which far
+    # exceed the term where |R mu|^2 or sum r^2 / d cancels (the dense form
+    # then misses an extended-precision value by up to 1e-4 relative)
+    root, v = np.abs(later.root(mask)), np.abs(capacitance_inverse(d, quad.root(col))[0])
+    sums = np.sum((root @ np.abs(mu)) ** 2) + np.sum(root**2 / d) + np.sum((v @ root.T) ** 2)
+    if mask is not None:
+        s_diag = np.sum(later.root() ** 2, axis=0)
+        sums += np.sum(mask * (1.0 - mask) * s_diag * (mu**2 + 1.0 / d))
+    tol = 1e-10 * abs(dense) + (n + p) * np.finfo(float).eps * sums
+    assert abs(factor.expected_loglik(later, col=mask) - dense) <= tol
+    # mu and diag Sigma from V against the dense Sigma of the same V, within
+    # the floor of the test above
+    g = quad.root(col) / np.sqrt(d)
+    floor = 4.0 * np.finfo(float).eps * np.max(1.0 / d) * np.sqrt(np.linalg.cond(np.eye(n) + g @ g.T))
+    np.testing.assert_allclose(
+        mu, sigma @ score, rtol=0,
+        atol=1e-10 * np.max(np.abs(sigma @ score)) + floor * np.sum(np.abs(score)))
+    np.testing.assert_allclose(
+        factor.variances, np.diag(sigma), rtol=0, atol=1e-10 * np.max(np.abs(sigma)) + floor)
+    # the refined mean solves (D + R^T R) mu = score to the rounding of forming
+    # that product, entry by entry; score / d - V^T V score alone misses it
+    r = quad.root(col)
+    residual = score - d * mu - r.T @ (r @ mu)
+    scale = np.abs(score) + d * np.abs(mu) + np.abs(r).T @ (np.abs(r) @ np.abs(mu))
+    assert np.all(np.abs(residual) <= (n + 2) * np.finfo(float).eps * scale)
 
 
 def _real_pools():
