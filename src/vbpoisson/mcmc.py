@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .core import Dataset, Hyperparameters, Method
 from .errors import TuningError
@@ -42,13 +43,9 @@ class Chain:
         return self.draws[:, self.param_names.index(name)]
 
 
-def _poisson_loglik(eta: np.ndarray, y: np.ndarray):
-    """The log-likelihood up to a constant of eta, or of each column of an n x k
-    eta; -inf where eta passes XI_OVERFLOW (its exp is capped there, unused)."""
-    if eta.ndim == 1:
-        return -np.inf if eta.max() > XI_OVERFLOW else float(y @ eta - np.exp(eta).sum())
-    ll = y @ eta - np.exp(np.minimum(eta, XI_OVERFLOW)).sum(axis=0)
-    return np.where((eta > XI_OVERFLOW).any(axis=0), -np.inf, ll)
+def _poisson_loglik(eta: np.ndarray, y: np.ndarray) -> float:
+    """The log-likelihood of eta up to a constant; -inf past XI_OVERFLOW."""
+    return -np.inf if eta.max() > XI_OVERFLOW else float(y @ eta - np.exp(eta).sum())
 
 
 _VAR_FLOOR = 1e-12
@@ -74,29 +71,41 @@ def _gig_half(a: float, b: np.ndarray, normal: np.ndarray, uniform: np.ndarray):
 
 
 def _flip_sweep(x, y, beta, gamma, eta, ll, logit, u):
-    """One Gibbs pass over the inclusion mask of slopes 1..p-1, in order.
+    """One Gibbs pass over the 0/1 inclusion mask of slopes 1..p-1, in order.
 
-    Slope j is on with probability 1 / (1 + e^-(ll_on - ll_off + logit[j-1])),
-    and stays or flips as u[j-1] falls below that; `eta` = x @ (gamma * beta)
-    and `ll` is its log-likelihood. Every remaining slope's flip is scored at
-    once from the running eta; after an accepted flip only the slopes past it
-    are scored again. Returns the mask, its eta and ll, and whether it moved.
+    Slope j is on with probability expit(ll_on - ll_off + logit[j-1]), and
+    stays or flips as u[j-1] falls below that; `eta` = x @ (gamma * beta) is
+    inside the guard and `ll` is its log-likelihood. Flipping slope j steps
+    eta by s_j = ±beta_j x_j and ll by d_j = y·s_j - e^eta·expm1(s_j), so one
+    matrix-vector product scores every remaining flip; after an accepted flip
+    only the slopes past it are scored again. While max(eta, 0) + max(s) may
+    pass XI_OVERFLOW, where that product could overflow, the flips are scored
+    from their flipped eta instead, -inf past the guard. Returns the mask,
+    its eta and ll, and whether it moved.
     """
     gamma, flipped, j = gamma.copy(), False, 1
-    while j < gamma.size:
-        on = gamma[j:] > 0.5
-        eta_flip = eta[:, None] + x[:, j:] * np.where(on, -beta[j:], beta[j:])
-        ll_flip = _poisson_loglik(eta_flip, y)
-        delta = np.where(on, ll - ll_flip, ll_flip - ll) + logit[j - 1:]
-        prob = 1.0 / (1.0 + np.exp(np.clip(-delta, -700, 700)))
-        moved = np.flatnonzero((u[j - 1:] < prob) != on)
+    # slopes j.. keep their starting state until the pass that reaches them
+    on, sign = gamma[1:] > 0.5, 1.0 - 2.0 * gamma[1:]
+    step = x[:, 1:] * (sign * beta[1:])
+    y_step, reach = y @ step, float(step.max(initial=0.0))
+    growth = np.expm1(np.minimum(step, XI_OVERFLOW))
+    while j < gamma.size:  # the first pass, or one after a flip
+        e, top, r = np.exp(eta), float(eta.max(initial=0.0)), slice(j - 1, None)
+        if top + reach <= XI_OVERFLOW:
+            d = y_step[r] - e @ growth[:, r]
+        else:
+            flip = eta[:, None] + step[:, r]
+            d = y_step[r] - (np.exp(np.minimum(flip, XI_OVERFLOW)) - e[:, None]).sum(axis=0)
+            d[(flip > XI_OVERFLOW).any(axis=0)] = -np.inf
+        prob = expit(sign[r] * d + logit[r])
+        moved = ((u[r] < prob) != on[r]).nonzero()[0]
         if moved.size == 0:
             break
         k = moved[0]
         gamma[j + k] = 1.0 - gamma[j + k]
-        eta, ll, flipped = eta_flip[:, k], ll_flip[k], True
-        j += k + 1
-    return gamma, eta, ll, flipped
+        eta, flipped, j = eta + step[:, j - 1 + k], True, j + k + 1
+    # evaluated afresh: ll plus each accepted d cancels when a flip drops a dominant e^eta
+    return gamma, eta, float(y @ eta - np.exp(eta).sum()) if flipped else ll, flipped
 
 
 def sample(
@@ -164,7 +173,7 @@ def sample(
             nonlocal tau2, a_var
             # given β the indicators are independent (George & McCulloch 1993)
             odds = base + spread * beta[1:] ** 2 / tau2
-            z[1:] = v[0][i] < 1.0 / (1.0 + np.exp(np.clip(-odds, -700, 700)))
+            z[1:] = v[0][i] < expit(odds)
             scale = np.where(z > 0.5, 1.0, hp.c)
             tau2 = _inv_gamma(v[1][i], 1.0 / a_var + 0.5 * float(beta @ (beta / scale)))
             a_var = _inv_gamma(v[2][i], 1.0 / tau2 + 1.0 / hp.A)

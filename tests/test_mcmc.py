@@ -1,10 +1,14 @@
 """Sampler components and the marginal accuracy score."""
 
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.special import logsumexp
 
 from vbpoisson import mcmc
@@ -180,7 +184,7 @@ def _count_likelihood_calls(monkeypatch):
     inner = mcmc._poisson_loglik
 
     def counted(eta, y):
-        calls.append(eta.ndim)
+        calls.append(eta)
         return inner(eta, y)
 
     monkeypatch.setattr(mcmc, "_poisson_loglik", counted)
@@ -207,7 +211,9 @@ def test_bernoulli_sweep_starts_from_the_cached_likelihood(monkeypatch):
     def checked(x, y, beta, gamma, eta, ll, logit, u):
         np.testing.assert_array_equal(eta, x @ (gamma * beta))
         assert ll == loglik(eta, y)
+        before = len(calls)
         out = sweep(x, y, beta, gamma, eta, ll, logit, u)
+        assert len(calls) == before  # the flips are scored by their differences
         moves.append(out[3])
         return out
 
@@ -216,8 +222,7 @@ def test_bernoulli_sweep_starts_from_the_cached_likelihood(monkeypatch):
     mc = McmcConfig(iterations=n_iter, burn_in=100, seed=5)
     sample(Method.BERNOULLI, ds, Hyperparameters(), mc)
     assert len(moves) == n_iter and 0 < sum(moves) < n_iter
-    # the sweep scores its flips on n x k blocks; single evaluations are the rest
-    assert calls.count(1) == 1 + n_iter + sum(moves)
+    assert len(calls) == 1 + n_iter + sum(moves)
 
 
 def _loglik(eta, y):
@@ -268,6 +273,119 @@ def test_the_block_mask_sweep_matches_the_sequential_one(seed, n, p, overflow):
     np.testing.assert_allclose(eta_b, ref_eta, rtol=1e-12, atol=0.0)
     assert ll_b == pytest.approx(ref_ll, rel=1e-12, abs=0.0)
     np.testing.assert_array_equal(args[3], gamma)  # the caller's mask is left alone
+
+
+def _recording_scores(seen):
+    """Patch the sweep's expit to append each pass's argument, its signed
+    scores plus logit, to `seen`."""
+    return mock.patch.object(mcmc, "expit", lambda a: seen.append(a) or special.expit(a))
+
+
+# Hand-built sweeps at the edges of the exponential's range: three rows, a
+# zero intercept and slopes (beta, on, x column); y counts
+_EDGE_SWEEPS = {
+    # switching slope 1 on lands row 0's eta at 705, inside (700, 709.78]:
+    # past the guard, though e^705 is finite
+    "guard band": ([(704.0, 0, [1.0, 0.0, 0.0]), (1.0, 1, [1.0, 0.5, -2.0]),
+                    (0.3, 0, [0.5, -1.0, 1.0])], [2.0, 1.0, 0.0]),
+    # slope 1's step of 715 overflows expm1, but row 0 sits at eta = -20, so
+    # the flipped state stays inside the guard and its likelihood is finite
+    "step past expm1": ([(715.0, 0, [1.0, 0.0, 0.0]), (1.0, 1, [-20.0, 1.0, 0.5]),
+                         (0.3, 0, [0.5, -1.0, 1.0])], [0.0, 1.0, 2.0]),
+    # row 0's e^eta underflows to 0 beside that kind of step, which takes it
+    # to eta = -40; e^eta * expm1(step) would be 0 * inf
+    "underflowed row": ([(760.0, 0, [1.0, 0.0, 0.0]), (1.0, 1, [-800.0, 1.0, 0.5]),
+                         (0.3, 0, [0.5, -1.0, 1.0])], [1.0, 1.0, 0.0]),
+    # switching slope 1 off drops row 0's e^695 from the likelihood; ll plus
+    # that difference would keep none of the remaining digits
+    "dominant row dropped": ([(695.0, 1, [1.0, 0.0, 0.0]), (1.0, 1, [0.0, 1.0, 0.5]),
+                              (0.3, 0, [0.0, -1.0, 1.0])], [0.0, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_SWEEPS))
+def test_the_mask_sweep_at_the_edges_of_the_exponential(case):
+    slopes, y = _EDGE_SWEEPS[case]
+    x = np.column_stack([np.ones(3)] + [col for _, _, col in slopes])
+    beta = np.array([0.0] + [b for b, _, _ in slopes])
+    gamma = np.array([1.0] + [float(on) for _, on, _ in slopes])
+    y = np.array(y)
+    eta = x @ (gamma * beta)
+    ll = _loglik(eta, y)
+    assert np.isfinite(ll)
+    # a flip from this state past the guard scores -inf, so it is never taken
+    past = (eta[:, None] + x[:, 1:] * np.where(gamma[1:] > 0.5, -beta[1:], beta[1:])
+            > XI_OVERFLOW).any(axis=0)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        logit, u = rng.normal(0.0, 2.0, 3), rng.random(3)
+        args = (x, y, beta, gamma, eta, ll, logit, u)
+        seen = []
+        with warnings.catch_warnings(), _recording_scores(seen):
+            warnings.simplefilter("error", RuntimeWarning)
+            mask, eta_b, ll_b, flipped = mcmc._flip_sweep(*args)
+        guarded = np.where(gamma[1:] > 0.5, np.inf, -np.inf)  # stays on, stays off
+        np.testing.assert_array_equal(seen[0][past], guarded[past])
+        ref_mask, ref_eta, ref_ll, ref_flipped = _sequential_flip_sweep(*args)
+        np.testing.assert_array_equal(mask, ref_mask)
+        assert flipped == ref_flipped
+        np.testing.assert_allclose(eta_b, ref_eta, rtol=1e-12, atol=0.0)
+        assert ll_b == pytest.approx(ref_ll, rel=1e-12, abs=0.0)
+
+
+def test_the_bernoulli_chain_is_the_sequential_sweeps_chain(monkeypatch):
+    train, _, beta = generate(LOW_DIM, np.random.default_rng([2024, 0]))
+    hp = Hyperparameters(rho2=rho2_for_inclusion(np.count_nonzero(beta) / LOW_DIM.p))
+    mc = McmcConfig(iterations=2000, burn_in=500, thin=1, seed=7)
+    chain = sample(Method.BERNOULLI, train, hp, mc)
+    monkeypatch.setattr(mcmc, "_flip_sweep", _sequential_flip_sweep)
+    ref = sample(Method.BERNOULLI, train, hp, mc)
+    np.testing.assert_array_equal(chain.draws, ref.draws)
+    assert chain.acceptance_rate == ref.acceptance_rate
+    # the masks moved, so the two sweeps had decisions to agree on
+    assert np.ptp(chain.draws[:, LOW_DIM.p:], axis=0).any()
+
+
+def _exact_flip_change(eta, step, y):
+    """y·step - e^eta·expm1(step), each term in long double, summed exactly."""
+    ld = np.longdouble
+    terms = np.concatenate([y.astype(ld) * step.astype(ld),
+                            -np.exp(eta.astype(ld)) * np.expm1(step.astype(ld))])
+    head = terms.astype(float)
+    return math.fsum([*head, *(terms - head.astype(ld)).astype(float)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    p=st.integers(2, 12),
+    intercept=st.floats(-3.0, 8.0),
+    log_scale=st.floats(-6.0, 0.5),
+)
+def test_flip_scores_are_at_least_as_close_as_likelihood_differences(
+        seed, n, p, intercept, log_scale):
+    # every slope off and u = 1, so one pass scores every flip and takes none;
+    # its argument to expit is then d itself
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    beta = np.concatenate([[intercept], rng.normal(0.0, 10.0**log_scale, p - 1)])
+    gamma = np.concatenate([[1.0], np.zeros(p - 1)])
+    eta = x @ (gamma * beta)
+    y = rng.poisson(np.exp(np.minimum(eta, 6.0))).astype(float)
+    ll = _loglik(eta, y)
+    seen = []
+    with _recording_scores(seen):
+        mcmc._flip_sweep(x, y, beta, gamma, eta, ll, np.zeros(p - 1), np.ones(p - 1))
+    (d,) = seen
+    for j in range(1, p):
+        step = beta[j] * x[:, j]
+        exact = _exact_flip_change(eta, step, y)
+        scale = np.abs(y * step).sum() + (np.exp(eta) * np.abs(np.expm1(step))).sum()
+        # at least as close, up to two rounding units of the terms' scale;
+        # on these inputs ll_flip - ll misses by up to 1.2e8 such units
+        assert abs(d[j - 1] - exact) <= (abs(_loglik(eta + step, y) - ll - exact)
+                                        + 2.0 * np.finfo(float).eps * scale)
 
 
 def test_chain_column_lookup():

@@ -210,11 +210,14 @@ def test_a_chain_case_records_its_chain_beside_the_fit():
     assert set(fields["result.posterior.mean"]) == {"low0.cs", "low9.cs"}
     chain_fields = {"chain.draws", "chain.param_names", "chain.acceptance_rate"}
     assert {name for name in fields if name.startswith("chain.")} == chain_fields
-    assert all(set(fields[name]) == {"low0.cs"} for name in chain_fields)
-    # 100 kept rows of p slopes, p - 1 indicators, tau2 and a
+    # low0 is the first chain case, so it also runs a default-length chain
+    assert all(set(fields[name]) == {"low0.cs", "low0.cs.full"} for name in chain_fields)
+    # 100 kept rows (500 at the default length) of p slopes, p - 1 indicators, tau2 and a
     p = train.p
     assert len(fields["chain.draws"]["low0.cs"]) == 100 * (2 * p + 1)
-    assert 0.01 <= fields["chain.acceptance_rate"]["low0.cs"][0] <= 1.0
-    # a rerun is identical, so only a changed sampler can move a chain
-    assert {name: fields[name]["low0.cs"] for name in chain_fields} == {
-        name: again[name]["low0.cs"] for name in chain_fields}
+    assert len(fields["chain.draws"]["low0.cs.full"]) == 500 * (2 * p + 1)
+    for case in ("low0.cs", "low0.cs.full"):
+        assert 0.01 <= fields["chain.acceptance_rate"][case][0] <= 1.0
+        # a rerun is identical, so only a changed sampler can move a chain
+        assert {name: fields[name][case] for name in chain_fields} == {
+            name: again[name][case] for name in chain_fields}

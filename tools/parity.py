@@ -7,7 +7,8 @@
 The set: 3 engines on `low`/`high` replications t < 8, 30 ascent datasets and
 4 response-only datasets (intercept-only fits, keyed `const0.p1` to
 `const3.p1`, so `@p1.cs` scopes an allow to CS at p = 1), with a
-1,500-iteration chain per engine on `low` t < 3; a fixed grid of 24
+1,500-iteration chain per engine on `low` t < 3 and a 10,000-iteration one
+(`McmcConfig()`) per engine on `low` t = 0; a fixed grid of 24
 library predictive rows; `fit` (3 methods, standardised or not) on two
 2000x30 and two 150x4 CSVs, with `predict` on each bundle; `simulate` `low`
 (3 reps) and `high` (1 rep); `validate` on one clean and one dirty CSV. The
@@ -86,16 +87,19 @@ _CHAIN_CASES = ("low0", "low1", "low2")
 
 def _record_fit(fields, case, method, data, hp):
     """Record one engine's fit and sparse record and, on a chain case, a short
-    chain proposing with the fit's covariance."""
+    chain proposing with the fit's covariance; on the first chain case also a
+    chain of the default length, keyed `low0.cs.full`."""
     from vbpoisson import harness, mcmc, sparsify
     fit = harness.FITTERS[method](data, hp)
     key = f"{case}.{method.value}"
     _record(fields, key, "result", fit)
     _record(fields, key, "sparse", sparsify.sparsify(fit, data))
-    if case in _CHAIN_CASES:
-        config = mcmc.McmcConfig(iterations=1500, burn_in=500)
+    chains = {key: mcmc.McmcConfig(iterations=1500, burn_in=500)} if case in _CHAIN_CASES else {}
+    if case == _CHAIN_CASES[0]:
+        chains[f"{key}.full"] = mcmc.McmcConfig()
+    for name, config in chains.items():
         chain = mcmc.sample(method, data, hp, config, proposal_cov=fit.posterior.covariance)
-        _record(fields, key, "chain", chain)
+        _record(fields, name, "chain", chain)
 
 
 # (m, s^2, level) of one-coefficient predictive rows: light rate laws, heavy
