@@ -15,11 +15,6 @@ from .linalg import GaussianFactor, gaussian_factor, single_blas_thread
 from .special_math import gamma_entropy
 
 
-def omega_from_p(p_incl: np.ndarray) -> np.ndarray:
-    """Second-moment matrix of the Bernoulli mask; diagonal equals p_incl."""
-    return np.outer(p_incl, p_incl) + np.diag(p_incl * (1.0 - p_incl))
-
-
 @dataclass
 class BernoulliState:
     """Variational state for the Bernoulli-Gaussian engine; rate_alpha holds the
@@ -64,19 +59,9 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
 
 
 def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianFactor, float]:
-    """Gaussian coefficient factor under the masked design moments.
-
-    S o Omega = P S P + diag(p (1 - p) o diag S) with P = diag(p), so the
-    precision is diag(e_alpha + p (1 - p) o diag S) + R^T R with R = W^(1/2) X P.
-    """
-    s, p = state.quad.s_x_xi, state.p_incl
-    return gaussian_factor(
-        state.e_alpha + p * (1.0 - p) * np.diag(s),
-        state.quad,
-        p * state.quad.score,
-        col=p,
-        dense=lambda: s * omega_from_p(p) + np.diag(state.e_alpha),
-    )
+    """Gaussian coefficient factor under the mask's design moments S o Omega."""
+    p = state.p_incl
+    return gaussian_factor(state.e_alpha, state.quad, p * state.quad.score, col=p)
 
 
 def update_alpha_bernoulli(
@@ -123,11 +108,8 @@ def update_bernoulli(
 def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters) -> dict:
     """Terms of the surrogate evidence lower bound, all non-constant ones."""
     d_diag = state.posterior.second_moments
-    p = state.p_incl
     return {
-        "likelihood": state.posterior.expected_loglik(
-            state.quad, col=p, dense=lambda: state.quad.s_x_xi * omega_from_p(p)
-        ),
+        "likelihood": state.posterior.expected_loglik(state.quad, col=state.p_incl),
         "beta_prior": -0.5 * float(np.sum(d_diag * state.e_alpha)),
         **indicator_terms(state, hp, "gamma"),
         "alpha_prior": -hp.b_gamma * float(np.sum(state.e_alpha)),

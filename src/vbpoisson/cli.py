@@ -149,6 +149,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_out(args.out)
     fit, sparse, bundle = _io.load_bundle(args.model)
     covs, names = _io.load_csv(args.data, response_column=None)
     expected = bundle["metadata"]["columns"]

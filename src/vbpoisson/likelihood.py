@@ -41,8 +41,8 @@ class QuadApprox:
     def s_x_xi(self) -> np.ndarray:
         """The exp-weighted design cross-product sum(e^xi_i x_i x_i^T) = R^T R,
         formed on the first read and kept. The n >= p solves and bounds read
-        it, and so do the Bernoulli engine's D and mask sweep; a Laplace or CS
-        sweep with n < p does not."""
+        it, and so does the Bernoulli engine's mask sweep; nothing else in a
+        sweep with n < p does."""
         x = self.design
         s_x_xi = (x * np.exp(self.xi)[:, None]).T @ x
         return 0.5 * (s_x_xi + s_x_xi.T)
@@ -71,13 +71,8 @@ def poisson_logpmf(y: np.ndarray, log_rate: np.ndarray) -> np.ndarray:
     return y * log_rate - np.exp(log_rate) - log_gamma(y + 1.0)
 
 
-def approx_loglik(q: QuadApprox, v: np.ndarray, s_x: np.ndarray, d_beta: np.ndarray) -> float:
-    """Expected surrogate log-likelihood at coefficient mean v and second moment
-    d_beta, with s_x the design cross-product they meet; drops the log y! constant."""
-    # both matrices are symmetric, so tr(S D) is their elementwise product sum
-    return expected_surrogate(q, v, np.vdot(s_x, d_beta))
-
-
-def expected_surrogate(q: QuadApprox, v: np.ndarray, trace: float) -> float:
-    """approx_loglik given its trace term tr(S D) instead of S and D."""
+def approx_loglik(q: QuadApprox, v: np.ndarray, trace: float) -> float:
+    """Expected surrogate log-likelihood at coefficient mean v, given its trace
+    term tr(S D), S the design cross-product and D the coefficients' second
+    moment; drops the log y! constant."""
     return float(q.score @ v - 0.5 * trace - np.sum(np.exp(q.xi) * (1.0 - q.xi + 0.5 * q.xi**2)))

@@ -8,7 +8,6 @@ import contextlib
 import ctypes
 import os
 import threading
-from collections.abc import Callable
 from functools import cached_property
 
 import numpy as np
@@ -16,7 +15,7 @@ from scipy import linalg as _la
 from scipy.linalg import lapack as _lapack
 
 from .errors import NumericalError
-from .likelihood import QuadApprox, approx_loglik, expected_surrogate
+from .likelihood import QuadApprox, approx_loglik
 
 # (get, set) symbol names of the OpenBLAS builds numpy and scipy ship, then
 # of a plain system OpenBLAS
@@ -190,60 +189,59 @@ class GaussianFactor:
         """E beta_j^2, the diagonal of mean mean^T + Sigma."""
         return self.mean**2 + self.variances
 
-    def expected_loglik(
-        self,
-        quad: QuadApprox,
-        col: np.ndarray | None = None,
-        dense: Callable[[], np.ndarray] | None = None,
-    ) -> float:
+    def expected_loglik(self, quad: QuadApprox, col: np.ndarray | None = None) -> float:
         """approx_loglik at the bound `quad` for the coefficients col * beta
         (beta itself if col is None), beta drawn from this factor.
 
-        col is a mask's inclusion probabilities: the cross-product that
-        E[(col beta)(col beta)^T] meets is then S o Omega, with
-        Omega = col col^T + diag(col (1 - col)). A dense factor takes it from
-        `dense()` (by default s_x_xi, which is S). A capacitance factor never
-        forms it: with R = quad.root(col), the trace term is
-        |R mu|^2 + sum_ij r_ij^2 / d_j - |V R^T|^2, plus, for a mask,
-        sum_j col_j (1 - col_j) S_jj E beta_j^2.
+        Its trace term is tr((S o Omega)(mu mu^T + Sigma)) with S o Omega as in
+        `gaussian_factor`: that of S o (col col^T), plus, for a mask,
+        sum_j col_j (1 - col_j) S_jj E beta_j^2. A dense factor sums the first
+        elementwise. A capacitance factor forms neither S nor Sigma: with
+        R = quad.root(col), it is |R mu|^2 + sum_ij r_ij^2 / d_j - |V R^T|^2.
         """
-        mu = self.mean
-        coef = mu if col is None else col * mu
-        if self._v is None:
-            s_x = quad.s_x_xi if dense is None else dense()
-            return approx_loglik(quad, coef, s_x, np.outer(mu, mu) + self._sigma)
-        root = quad.root()
+        mu, dense = self.mean, self._v is None
+        root = None if dense else quad.root()
         trace = 0.0
         if col is not None:
-            s_diag = np.einsum("ij,ij->j", root, root)
-            trace = np.sum(col * (1.0 - col) * s_diag * self.second_moments)
-            root = root * col
-        fit = root @ mu
-        cross = self._v @ root.T
-        trace += fit @ fit + np.sum((root * root) @ (1.0 / self._d)) - np.vdot(cross, cross)
-        return expected_surrogate(quad, coef, trace)
+            trace = np.sum(_mask_variance(quad, col, root) * self.second_moments)
+        if dense:
+            s_x = quad.s_x_xi if col is None else quad.s_x_xi * np.outer(col, col)
+            trace += np.vdot(s_x, np.outer(mu, mu) + self._sigma)
+        else:
+            root = root if col is None else root * col
+            fit = root @ mu
+            cross = self._v @ root.T
+            trace += fit @ fit + np.sum((root * root) @ (1.0 / self._d)) - np.vdot(cross, cross)
+        return approx_loglik(quad, mu if col is None else col * mu, trace)
+
+
+def _mask_variance(quad: QuadApprox, col: np.ndarray, root: np.ndarray | None) -> np.ndarray:
+    """col (1 - col) o diag S, what the mask's variance adds to the diagonal of
+    S o (col col^T); diag S is read from the unscaled root R if one is given,
+    else from s_x_xi."""
+    s_diag = np.diag(quad.s_x_xi) if root is None else np.einsum("ij,ij->j", root, root)
+    return col * (1.0 - col) * s_diag
 
 
 def gaussian_factor(
-    d: np.ndarray,
-    quad: QuadApprox,
-    score: np.ndarray,
-    col: np.ndarray | None = None,
-    dense: Callable[[], np.ndarray] | None = None,
+    prior: np.ndarray, quad: QuadApprox, score: np.ndarray, col: np.ndarray | None = None
 ) -> tuple[GaussianFactor, float]:
-    """Gaussian with precision diag(d) + R^T R and mean precision^-1 score;
+    """Gaussian with precision S o Omega + diag(prior) and mean precision^-1 score;
     returns it with the log-determinant of its covariance.
 
-    R = `quad.root(col)`, the bound's n x p root with its columns scaled by
-    col, so R^T R is `quad.s_x_xi` scaled by col on both sides. With fewer
+    S is `quad.s_x_xi`. Omega is all ones, or, for a mask with inclusion
+    probabilities col, its second moments col col^T + diag(col (1 - col))
+    (Carbonetto & Stephens 2012). The precision is then diag(d) + R^T R with
+    R = `quad.root(col)` and d = prior + col (1 - col) o diag S. With fewer
     rows than columns the solve runs through the n x n capacitance matrix and
-    forms no p x p matrix; otherwise pd_inverse inverts `dense()`, the same
-    precision as one p x p matrix (by default s_x_xi + diag(d)), and R is
-    never formed.
+    forms no p x p matrix; otherwise pd_inverse inverts the precision as one
+    p x p matrix and R is never formed.
     """
     n, p = quad.design.shape
     if n < p:
-        root = quad.root(col)
+        root = quad.root()
+        d = prior if col is None else prior + _mask_variance(quad, col, root)
+        root = root if col is None else root * col
         v, logdet = capacitance_inverse(d, root)
 
         def apply_sigma(b):
@@ -254,5 +252,8 @@ def gaussian_factor(
         mean = apply_sigma(score)
         mean += apply_sigma(score - d * mean - root.T @ (root @ mean))
         return GaussianFactor(mean, d=d, v=v), logdet
-    sigma, logdet = pd_inverse(quad.s_x_xi + np.diag(d) if dense is None else dense())
+    s_x, d = quad.s_x_xi, prior
+    if col is not None:
+        s_x, d = s_x * np.outer(col, col), prior + _mask_variance(quad, col, None)
+    sigma, logdet = pd_inverse(s_x + np.diag(d))
     return GaussianFactor(sigma @ score, sigma), logdet

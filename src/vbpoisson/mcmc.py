@@ -70,18 +70,18 @@ def _gig_half(a: float, b: np.ndarray, normal: np.ndarray, uniform: np.ndarray):
     return np.where(uniform <= q / (1.0 + q), q, 1.0 / q) / mean
 
 
-def _flip_sweep(x, y, beta, gamma, eta, ll, logit, u):
+def _flip_sweep(x, y, beta, gamma, eta, logit, u):
     """One Gibbs pass over the 0/1 inclusion mask of slopes 1..p-1, in order.
 
     Slope j is on with probability expit(ll_on - ll_off + logit[j-1]), and
     stays or flips as u[j-1] falls below that; `eta` = x @ (gamma * beta) is
-    inside the guard and `ll` is its log-likelihood. Flipping slope j steps
-    eta by s_j = ±beta_j x_j and ll by d_j = y·s_j - e^eta·expm1(s_j), so one
-    matrix-vector product scores every remaining flip; after an accepted flip
-    only the slopes past it are scored again. While max(eta, 0) + max(s) may
-    pass XI_OVERFLOW, where that product could overflow, the flips are scored
-    from their flipped eta instead, -inf past the guard. Returns the mask,
-    its eta and ll, and whether it moved.
+    inside the guard. Flipping slope j steps eta by s_j = ±beta_j x_j and the
+    log-likelihood by d_j = y·s_j - e^eta·expm1(s_j), so one matrix-vector
+    product scores every remaining flip; after an accepted flip only the
+    slopes past it are scored again. While max(eta, 0) + max(s) may pass
+    XI_OVERFLOW, where that product could overflow, the flips are scored from
+    their flipped eta instead, -inf past the guard. Returns the mask and
+    whether it moved.
     """
     gamma, flipped, j = gamma.copy(), False, 1
     # slopes j.. keep their starting state until the pass that reaches them
@@ -104,8 +104,7 @@ def _flip_sweep(x, y, beta, gamma, eta, ll, logit, u):
         k = moved[0]
         gamma[j + k] = 1.0 - gamma[j + k]
         eta, flipped, j = eta + step[:, j - 1 + k], True, j + k + 1
-    # evaluated afresh: ll plus each accepted d cancels when a flip drops a dominant e^eta
-    return gamma, eta, float(y @ eta - np.exp(eta).sum()) if flipped else ll, flipped
+    return gamma, flipped
 
 
 def sample(
@@ -194,9 +193,8 @@ def sample(
         def gibbs(v, i):
             alpha = v[0][i] / (hp.b_gamma + 0.5 * beta**2)
             # β has not moved since the loop last evaluated it, so the cached
-            # likelihood is one side of each flip; only the other side is new
-            gamma[:], _, _, flipped = _flip_sweep(x, y, beta, gamma, cur_eta, cur_ll, logit,
-                                                  v[1][i])
+            # eta is one side of each flip; only the other side is new
+            gamma[:], flipped = _flip_sweep(x, y, beta, gamma, cur_eta, logit, v[1][i])
             return alpha, flipped
 
         def snapshot():
@@ -224,8 +222,8 @@ def sample(
             if log_u[i] < prop_ll - 0.5 * float(prop @ (prec * prop)) - cur_lp:
                 beta, cur_eta, cur_ll = prop, prop_eta, prop_ll
                 accepted[start + i] = True
-            # the sweep never moves β; a moved mask is evaluated afresh rather
-            # than taken from the sweep's running update, which rounds differently
+            # the sweep never moves β and returns the mask alone; a moved
+            # mask's eta and likelihood are evaluated here
             prec, moved = gibbs(v, i)
             if moved:
                 cur_eta = x @ (gamma * beta)

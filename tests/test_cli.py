@@ -123,20 +123,28 @@ def test_a_directory_in_place_of_a_file_exits_two(tmp_path, data_csv, capsys, co
 
 @pytest.mark.parametrize("target", ["directory", "missing parent"])
 @pytest.mark.parametrize("command, flag", [("fit", "--out"), ("simulate", "--out"),
-                                           ("simulate", "--summary-out")])
+                                           ("simulate", "--summary-out"), ("predict", "--out")])
 def test_an_unwritable_output_path_exits_two_before_any_fit(
     tmp_path, data_csv, capsys, monkeypatch, command, flag, target
 ):
-    def refuse(*_args):
+    def refuse(*_args, **_kwargs):
         raise AssertionError("a fit ran before the output paths were checked")
 
+    model, new = tmp_path / "fit.json", tmp_path / "new.csv"
+    if command == "predict":
+        assert cli(["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
+                    "--out", str(model)]) == EXIT_OK
+        new.write_text("x1,x2\n0.0,0.0\n", encoding="utf-8")
+        capsys.readouterr()
     for method in Method:
         monkeypatch.setitem(harness.FITTERS, method, refuse)
+    monkeypatch.setattr("vbpoisson.cli.predictive_distribution", refuse)
     args = {
         "fit": {"--method": "laplace", "--data": data_csv, "--response": "y",
                 "--out": str(tmp_path / "o.json")},
         "simulate": {"--scenario": "low", "--replications": "1", "--out": str(tmp_path / "o.csv"),
                      "--summary-out": str(tmp_path / "o.summary")},
+        "predict": {"--model": str(model), "--data": str(new), "--out": str(tmp_path / "p.json")},
     }[command]
     bad = tmp_path if target == "directory" else tmp_path / "missing" / "o.out"
     args[flag] = str(bad)

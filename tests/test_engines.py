@@ -10,9 +10,7 @@ from scipy import optimize, stats
 from scipy import special as sp
 
 from vbpoisson import bernoulli, cavi, laplace, spike_slab
-from vbpoisson.bernoulli import (
-    elbo_bernoulli, fit_bernoulli, init_bernoulli, omega_from_p, update_bernoulli,
-)
+from vbpoisson.bernoulli import elbo_bernoulli, fit_bernoulli, init_bernoulli, update_bernoulli
 from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.harness import LOW_DIM, generate
 from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_laplace
@@ -76,8 +74,10 @@ def test_a_wide_design_gets_the_factor_of_the_dense_precision(engine):
     elif engine == "cs":
         precision = s + np.diag(state.e_tau2_inv * (state.p_incl + (1.0 - state.p_incl) / hp.c))
     else:
-        precision = s * omega_from_p(state.p_incl) + np.diag(state.e_alpha)
-        score = state.p_incl * score
+        # S o Omega, Omega the mask's second moments p p^T + diag(p (1 - p))
+        p = state.p_incl
+        precision = s * (np.outer(p, p) + np.diag(p * (1.0 - p))) + np.diag(state.e_alpha)
+        score = p * score
     sigma, logdet = pd_inverse(precision)
     post, logdet_new = beta(state)
     # covariance is the factor's one dense accessor; the variances come from V
@@ -106,7 +106,7 @@ def _count_computations(monkeypatch, cls, name, counts):
 def test_a_wide_fit_forms_no_p_by_p_matrix_per_sweep(monkeypatch, fitter):
     # n < p: Laplace and CS form X^T W X never and their dense covariance once
     # per fit (CS: the winning start's and the slab interval factor's); the
-    # Bernoulli mask sweep reads both, once per sweep
+    # Bernoulli mask sweep reads both, once per sweep, and nothing else does
     counts = {"s_x_xi": 0, "covariance": 0}
     _count_computations(monkeypatch, QuadApprox, "s_x_xi", counts)
     _count_computations(monkeypatch, GaussianFactor, "covariance", counts)
@@ -116,20 +116,9 @@ def test_a_wide_fit_forms_no_p_by_p_matrix_per_sweep(monkeypatch, fitter):
     expected = {
         fit_laplace: {"s_x_xi": 0, "covariance": 1},
         fit_cs: {"s_x_xi": 0, "covariance": 2},
-        # the first solve reads diag(X^T W X) at the starting xi
-        fit_bernoulli: {"s_x_xi": 16, "covariance": 15},
+        fit_bernoulli: {"s_x_xi": 15, "covariance": 15},
     }[fitter]
     assert counts == expected
-
-
-def test_omega_from_p_closed_form():
-    p = np.array([1.0, 0.3, 0.8])
-    om = omega_from_p(p)
-    np.testing.assert_allclose(np.diag(om), p)
-    np.testing.assert_allclose(om, om.T)
-    assert om[1, 1] == pytest.approx(0.3)
-    assert om[1, 2] == pytest.approx(0.3 * 0.8)
-    assert om[0, 0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("fitter", [fit_laplace, fit_cs, fit_bernoulli])

@@ -8,7 +8,8 @@ from scipy import stats
 
 from vbpoisson.core import Dataset
 from vbpoisson.errors import DivergenceError
-from vbpoisson.likelihood import approx_loglik, poisson_logpmf, quad_bound, refresh
+from vbpoisson.likelihood import poisson_logpmf, quad_bound, refresh
+from vbpoisson.linalg import GaussianFactor
 
 
 def test_bound_touches_exponential_at_expansion_point():
@@ -62,9 +63,8 @@ def test_expected_loglik_single_zero_count():
     # the bound evaluates to -exp(0) = -1
     ds = Dataset(np.ones((1, 1)), np.zeros(1))
     q = refresh(np.zeros(1), ds)
-    mu = np.zeros(1)
-    d = np.zeros((1, 1))
-    assert approx_loglik(q, mu, q.s_x_xi, d) == pytest.approx(-1.0, rel=1e-12)
+    point = GaussianFactor(np.zeros(1), np.zeros((1, 1)))
+    assert point.expected_loglik(q) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_expected_loglik_matches_poisson_at_degenerate_posterior():
@@ -77,7 +77,7 @@ def test_expected_loglik_matches_poisson_at_degenerate_posterior():
     ds = Dataset(x, y)
     eta = x @ beta
     q = refresh(eta, ds)
-    val = approx_loglik(q, beta, q.s_x_xi, np.outer(beta, beta))
+    val = GaussianFactor(beta, np.zeros((3, 3))).expected_loglik(q)
     exact = float(y @ eta - np.sum(np.exp(eta)))
     assert val == pytest.approx(exact, rel=1e-10)
 
@@ -89,14 +89,14 @@ def test_expected_loglik_decreases_with_extra_variance():
     ds = Dataset(x, y)
     mu = np.array([0.1, 0.0, 0.0])
     q = refresh(x @ mu, ds)
-    tight = approx_loglik(q, mu, q.s_x_xi, np.outer(mu, mu))
-    loose = approx_loglik(q, mu, q.s_x_xi, np.outer(mu, mu) + 0.5 * np.eye(3))
+    tight = GaussianFactor(mu, np.zeros((3, 3))).expected_loglik(q)
+    loose = GaussianFactor(mu, 0.5 * np.eye(3)).expected_loglik(q)
     assert loose < tight
 
 
 def test_expected_loglik_equals_the_matrix_product_trace():
-    # the O(p^2) elementwise sum equals tr(S D) for the symmetric S and D
-    # every engine passes
+    # a dense factor's O(p^2) elementwise sum equals tr(S D) for the
+    # symmetric S and D it meets
     rng = np.random.default_rng(3)
     for n, p in ((30, 200), (12, 5), (4, 1)):
         x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
@@ -105,7 +105,8 @@ def test_expected_loglik_equals_the_matrix_product_trace():
         q = refresh(0.3 * rng.standard_normal(n), ds)
         mu = rng.standard_normal(p)
         a = rng.standard_normal((p, p))
-        d_beta = np.outer(mu, mu) + a @ a.T / p
+        sigma = a @ a.T / p
+        d_beta = np.outer(mu, mu) + sigma
         xmu = x @ mu
         m_xi = np.exp(q.xi) * (1.0 - q.xi)
         by_trace = float(
@@ -114,7 +115,7 @@ def test_expected_loglik_equals_the_matrix_product_trace():
             - 0.5 * np.trace(q.s_x_xi @ d_beta)
             + y @ xmu
         )
-        assert approx_loglik(q, mu, q.s_x_xi, d_beta) == pytest.approx(by_trace, rel=1e-12)
+        assert GaussianFactor(mu, sigma).expected_loglik(q) == pytest.approx(by_trace, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -129,7 +130,8 @@ def test_expected_loglik_matches_the_trace_and_masked_forms(seed, n, p):
     m_xi = np.exp(q.xi) * (1.0 - q.xi)
     mu = rng.normal(0.0, 2.0, p)
     a = rng.standard_normal((p, p))
-    d_beta = np.outer(mu, mu) + a @ a.T / p + 1e-3 * np.eye(p)
+    factor = GaussianFactor(mu, a @ a.T / p + 1e-3 * np.eye(p))
+    d_beta = np.outer(mu, mu) + factor.covariance
     xmu = x @ mu
     by_trace = float(
         -m_xi @ (1.0 + xmu)
@@ -137,7 +139,7 @@ def test_expected_loglik_matches_the_trace_and_masked_forms(seed, n, p):
         - 0.5 * np.trace(q.s_x_xi @ d_beta)
         + y @ xmu
     )
-    assert approx_loglik(q, mu, q.s_x_xi, d_beta) == pytest.approx(by_trace, rel=1e-12)
+    assert factor.expected_loglik(q) == pytest.approx(by_trace, rel=1e-12)
     p_incl = rng.uniform(0.0, 1.0, p)
     p_incl[rng.random(p) < 0.2] = rng.choice([0.0, 1.0])
     omega = np.outer(p_incl, p_incl) + np.diag(p_incl * (1.0 - p_incl))
@@ -146,9 +148,7 @@ def test_expected_loglik_matches_the_trace_and_masked_forms(seed, n, p):
         - 0.5 * np.sum(d_beta * (q.s_x_xi * omega))
         - np.sum(np.exp(q.xi) * (1.0 - q.xi + 0.5 * q.xi**2))
     )
-    assert approx_loglik(q, p_incl * mu, q.s_x_xi * omega, d_beta) == pytest.approx(
-        masked, rel=1e-12
-    )
+    assert factor.expected_loglik(q, col=p_incl) == pytest.approx(masked, rel=1e-12)
 
 
 def test_poisson_logpmf_matches_scipy():

@@ -139,6 +139,28 @@ def _root(quad, col):
     return root if col is None else root * col[None, :]
 
 
+def _omega(col):
+    """The mask's second moments col col^T + diag(col (1 - col)), which meet
+    S = X^T W X elementwise; all ones without a mask."""
+    if col is None:
+        return 1.0
+    return np.outer(col, col) + np.diag(col * (1.0 - col))
+
+
+def _solve_diagonal(quad, d, col):
+    """The diagonal D of the precision D + R^T R that the capacitance solve
+    sees: d, plus col (1 - col) o diag S for a mask."""
+    return d if col is None else d + col * (1.0 - col) * np.sum(_root(quad, None) ** 2, axis=0)
+
+
+def _precision(quad, d, col):
+    """S o Omega + diag(d) in extended precision, S assembled here."""
+    root = _root(quad, None).astype(np.longdouble)
+    precision = (root.T @ root) * _omega(col)
+    precision[np.diag_indices_from(precision)] += d
+    return precision
+
+
 def _long_inverse(a):
     """Inverse and log|inverse| of SPD `a` by pd_inverse's algorithm (Cholesky,
     then the inverse of the factor) in extended precision."""
@@ -160,20 +182,19 @@ def _long_inverse(a):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), masked=st.booleans())
 def test_the_capacitance_solve_matches_the_dense_inverse(data, seed, n, masked):
-    # the yardstick is the dense inverse of the assembled D + R^T R in extended
-    # precision: in float64 it misses by up to 1e-8 of max|Sigma| on these inputs
+    # the yardstick is the dense inverse of the assembled S o Omega + diag(d)
+    # in extended precision: in float64 it misses by up to 1e-8 of max|Sigma|
+    # on these inputs
     p = data.draw(st.integers(n + 1, 60), label="p")
     quad, d, score, col = _capacitance_case(seed, n, p, masked)
     post, logdet = gaussian_factor(d, quad, score, col=col)
-    root = _root(quad, col)
-    assembled = root.astype(np.longdouble).T @ root
-    assembled[np.diag_indices(p)] += d
-    sigma, logdet_ref = _long_inverse(assembled)
+    sigma, logdet_ref = _long_inverse(_precision(quad, d, col))
     mean = (sigma @ score).astype(float)
     sigma = sigma.astype(float)
     # D^-1 - V^T V cancels where the data pin a coefficient its prior leaves
-    # loose: its rounding is that of V, eps sqrt(cond C) relative to max 1/d
-    g = root / np.sqrt(d)
+    # loose: its rounding is that of V, eps sqrt(cond C) relative to max 1/D
+    d = _solve_diagonal(quad, d, col)
+    g = _root(quad, col) / np.sqrt(d)
     cond = np.linalg.cond(np.eye(n) + g @ g.T)
     floor = 4.0 * np.finfo(float).eps * np.max(1.0 / d) * np.sqrt(cond)
     np.testing.assert_allclose(
@@ -202,16 +223,15 @@ def test_the_low_rank_factor_matches_its_dense_covariance(data, seed, n, masked)
     p = data.draw(st.integers(n + 1, 60), label="p")
     quad, d, score, col = _capacitance_case(seed, n, p, masked)
     factor, _ = gaussian_factor(d, quad, score, col=col)
+    d = _solve_diagonal(quad, d, col)
     rng = np.random.default_rng([seed, 1])
     ds = Dataset(quad.design, rng.poisson(2.0, size=n).astype(float))
     later = refresh(quad.xi + rng.normal(0.0, 0.5, size=n), ds)
     mask = None if col is None else np.clip(col + rng.uniform(-0.2, 0.2, size=p), 0.0, 1.0)
     mu, sigma = factor.mean, factor.covariance
     d_beta = np.outer(mu, mu) + sigma
-    if mask is None:
-        dense = approx_loglik(later, mu, later.s_x_xi, d_beta)
-    else:
-        dense = approx_loglik(later, mask * mu, later.s_x_xi * bernoulli.omega_from_p(mask), d_beta)
+    coef = mu if mask is None else mask * mu
+    dense = approx_loglik(later, coef, np.vdot(later.s_x_xi * _omega(mask), d_beta))
     # both forms read the same score, so they differ only in the rounding of
     # the trace term: (n + p) eps times the sizes of its summands, which far
     # exceed the term where |R mu|^2 or sum r^2 / d cancels (the dense form
@@ -238,6 +258,48 @@ def test_the_low_rank_factor_matches_its_dense_covariance(data, seed, n, masked)
     residual = score - d * mu - r.T @ (r @ mu)
     scale = np.abs(score) + d * np.abs(mu) + np.abs(r).T @ (np.abs(r) @ np.abs(mu))
     assert np.all(np.abs(residual) <= (n + 2) * np.finfo(float).eps * scale)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), wide=st.booleans())
+def test_a_masked_factor_meets_the_mask_moments_on_both_paths(data, seed, n, wide):
+    # under a mask the factor's precision is S o Omega + diag(prior), Omega the
+    # mask's second moments (Carbonetto & Stephens 2012), and its expected
+    # log-likelihood's trace is tr((S o Omega)(mu mu^T + Sigma)), whichever
+    # path solves it; the yardsticks are assembled here in extended precision
+    p = data.draw(st.integers(n + 1, 60) if wide else st.integers(1, n), label="p")
+    quad, prior, score, col = _capacitance_case(seed, n, p, True)
+    post, logdet = gaussian_factor(prior, quad, score, col=col)
+    precision = _precision(quad, prior, col)
+    sigma, logdet_ref = _long_inverse(precision)
+    mean, sigma = (sigma @ score).astype(float), sigma.astype(float)
+    # a solve's rounding, eps cond(precision) relative to Sigma; on these
+    # inputs it reaches 1.7 such units
+    eps = np.finfo(float).eps
+    unit = eps * np.linalg.cond(precision.astype(float))
+    atol = 8.0 * unit * np.max(np.abs(sigma))
+    np.testing.assert_allclose(post.covariance, sigma, rtol=0, atol=atol)
+    np.testing.assert_allclose(post.mean, mean, rtol=0, atol=atol * np.sum(np.abs(score)))
+    assert abs(logdet - float(logdet_ref)) <= 8.0 * unit * max(abs(float(logdet_ref)), 1.0)
+    mu = post.mean
+    s_x = _root(quad, None).astype(np.longdouble)
+    s_x = s_x.T @ s_x
+    trace = np.sum(s_x * _omega(col) * (np.outer(mu, mu) + post.covariance).astype(np.longdouble))
+    # the trace's rounding: (n + p) eps times the sizes of its summands, with
+    # |R|^T |R| for S and, for a capacitance factor, diag(1 / D) + |V|^T |V|
+    # for Sigma; on these inputs it reaches 0.8 such units
+    root = np.abs(_root(quad, col))
+    if wide:
+        d = _solve_diagonal(quad, prior, col)
+        v = np.abs(capacitance_inverse(d, quad.root(col))[0])
+        size = np.diag(1.0 / d) + v.T @ v
+    else:
+        size = np.abs(post.covariance)
+    sums = np.sum((root.T @ root) * (np.outer(np.abs(mu), np.abs(mu)) + size))
+    sums += np.sum(col * (1.0 - col) * np.diag(s_x).astype(float) * (mu**2 + np.diag(size)))
+    expected = approx_loglik(quad, col * mu, float(trace))
+    assert abs(post.expected_loglik(quad, col=col) - expected) <= 4.0 * (n + p) * eps * sums
 
 
 def _real_pools():
