@@ -84,11 +84,10 @@ def _standardize(dataset: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
     x = dataset.design.copy()
     center = np.zeros(dataset.p)
     scale = np.ones(dataset.p)
-    if dataset.p > 1:
-        center[1:] = x[:, 1:].mean(axis=0)
-        sd = x[:, 1:].std(axis=0)
-        scale[1:] = np.where(sd > 0.0, sd, 1.0)
-        x[:, 1:] = (x[:, 1:] - center[1:]) / scale[1:]
+    center[1:] = x[:, 1:].mean(axis=0)
+    sd = x[:, 1:].std(axis=0)
+    scale[1:] = np.where(sd > 0.0, sd, 1.0)
+    x[:, 1:] = (x[:, 1:] - center[1:]) / scale[1:]
     return Dataset(x, dataset.response), center, scale
 
 
@@ -113,8 +112,8 @@ def _destandardize(fit: FitResult, center: np.ndarray, scale: np.ndarray) -> Fit
 
 def _check_out(*paths) -> None:
     """Raise the OSError that writing each given path would, before any work runs."""
-    for path in filter(None, paths):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+    for path in (p for p in paths if p is not None):
+        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
             raise OSError(code, os.strerror(code), path)
 

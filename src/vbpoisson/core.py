@@ -55,8 +55,7 @@ def validate(dataset: Dataset) -> list[str]:
     if finite.size != y.size:
         diags.append("non-finite response entry")
     if not diags:
-        stds = x[:, 1:].std(axis=0) if x.shape[1] > 1 else np.array([])
-        for j in np.flatnonzero(stds == 0.0):
+        for j in np.flatnonzero(x[:, 1:].std(axis=0) == 0.0):
             diags.append(f"zero-variance column {j + 1}")
     return diags
 

@@ -9,8 +9,6 @@ import numpy as np
 from .core import Dataset, FitResult, Method
 from .likelihood import XI_OVERFLOW, poisson_logpmf
 
-_GRID_SIZE = 50
-
 
 @dataclass(frozen=True)
 class SparseCoefficients:
@@ -34,16 +32,6 @@ def poisson_loglik(beta: np.ndarray, dataset: Dataset) -> float:
     if np.any(eta > XI_OVERFLOW):
         return -np.inf
     return float(np.sum(poisson_logpmf(dataset.response, eta)))
-
-
-def default_grid(mu: np.ndarray) -> np.ndarray:
-    """Log-spaced threshold grid from 1e-4 up to the largest slope magnitude."""
-    top = float(np.max(np.abs(mu[1:]))) if mu.shape[0] > 1 else 1e-4
-    top = max(top, 1e-4)
-    grid = np.logspace(-4, np.log10(top), _GRID_SIZE)
-    # 10**log10(top) can round an ulp below top, where it would keep that slope
-    grid[-1] = top
-    return grid
 
 
 def _aic(loglik: float, df: int) -> float:
@@ -79,26 +67,21 @@ def threshold_bernoulli(fit: FitResult, dataset: Dataset | None = None) -> Spars
     return _sparse_record(fit.posterior.mean, fit.inclusion_prob > 0.5, 0.0, dataset)
 
 
-def threshold_hard(
-    fit: FitResult, dataset: Dataset, grid: np.ndarray | None = None
-) -> SparseCoefficients:
-    """Pick the information-criterion-minimizing hard threshold from a grid.
+def threshold_hard(fit: FitResult, dataset: Dataset) -> SparseCoefficients:
+    """Pick the information-criterion-minimizing hard threshold.
 
     Slope coordinates with magnitude at or below the threshold are zeroed;
-    the intercept is exempt. Ties go to the larger threshold.
+    the intercept is exempt. Only 0 and the slope magnitudes give distinct
+    supports, so each is tried, from the largest down, and ties go to the
+    larger threshold.
     """
     if fit.method not in (Method.LAPLACE, Method.CS):
         raise ValueError("hard thresholding applies to the Laplace and CS fits")
     mu = fit.posterior.mean
-    if grid is None:
-        grid = default_grid(mu)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("threshold grid must be non-empty")
     best = None
-    for kappa in np.sort(grid):
+    for kappa in np.unique(np.append(np.abs(mu[1:]), 0.0))[::-1]:
         record = _sparse_record(mu, np.abs(mu) > kappa, kappa, dataset)
-        if best is None or record.aic <= best.aic:
+        if best is None or record.aic < best.aic:
             best = record
     return best
 

@@ -30,12 +30,7 @@ from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_la
 from vbpoisson.likelihood import quad_bound
 from vbpoisson.mcmc import McmcConfig, accuracy, sample
 from vbpoisson.predict import predictive_distribution
-from vbpoisson.sparsify import (
-    default_grid,
-    poisson_loglik,
-    threshold_bernoulli,
-    threshold_hard,
-)
+from vbpoisson.sparsify import poisson_loglik, threshold_bernoulli, threshold_hard
 from vbpoisson.special_math import gig_moments
 from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
@@ -248,14 +243,17 @@ def test_false_negative_rate(study):
 
 
 def test_sparsification_rules():
-    """The zero threshold is the identity, the grid search matches brute
-    force over 20 fits, and the probability rule matches its definition over
-    1000 random cases."""
+    """A fit whose slopes are all strong keeps them all, the threshold search
+    matches brute force over every breakpoint and a 10^4-point scan on 20
+    fits, and the probability rule matches its definition over 1000 random
+    cases."""
     ok = True
-    ds = _ascent_dataset(3)
+    rng = np.random.default_rng([901, 3])
+    x = np.column_stack([np.ones(60), rng.standard_normal((60, 7))])
+    ds = Dataset(x, rng.poisson(np.exp(0.5 + x[:, 1:] @ np.full(7, 0.6))).astype(float))
     fit = fit_laplace(ds)
-    ident = threshold_hard(fit, ds, grid=np.array([0.0]))
-    ok = ok and np.array_equal(ident.beta_hat, fit.posterior.mean)
+    ident = threshold_hard(fit, ds)
+    ok = ok and ident.kappa == 0.0 and np.array_equal(ident.beta_hat, fit.posterior.mean)
 
     checked = 0
     for seed in range(10):
@@ -263,17 +261,22 @@ def test_sparsification_rules():
         for fitter in (fit_laplace, fit_cs):
             fit = fitter(ds)
             mu = fit.posterior.mean
-            grid = default_grid(mu)
-            sparse = threshold_hard(fit, ds, grid=grid)
-            best_aic, best_kappa = np.inf, None
-            for kappa in np.sort(grid):
+            mags = np.abs(mu[1:])
+            sparse = threshold_hard(fit, ds)
+
+            def criterion(kappa):
                 bh = mu.copy()
-                bh[1:] = np.where(np.abs(mu[1:]) <= kappa, 0.0, mu[1:])
+                bh[1:] = np.where(mags <= kappa, 0.0, mu[1:])
                 df = 1 + int(np.count_nonzero(bh[1:]))
-                aic = -poisson_loglik(bh, ds) + 2.0 * df
-                if aic <= best_aic:
-                    best_aic, best_kappa = aic, kappa
-            ok = ok and sparse.kappa == best_kappa and abs(sparse.aic - best_aic) < 1e-9
+                return -poisson_loglik(bh, ds) + 2.0 * df
+
+            at_breaks = {k: criterion(k) for k in np.append(mags, 0.0)}
+            least = min(at_breaks.values())
+            best_kappa = max(k for k, aic in at_breaks.items() if aic == least)
+            scan = np.linspace(0.0, 1.1 * mags.max(), 10_000)
+            best_aic = min(least, *map(criterion, scan))
+            ok = ok and abs(sparse.aic - best_aic) <= 1e-9 * abs(best_aic)
+            ok = ok and sparse.kappa == best_kappa
             checked += 1
     ok = ok and checked == 20
 

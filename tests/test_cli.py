@@ -121,7 +121,7 @@ def test_a_directory_in_place_of_a_file_exits_two(tmp_path, data_csv, capsys, co
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
-@pytest.mark.parametrize("target", ["directory", "missing parent"])
+@pytest.mark.parametrize("target", ["directory", "missing parent", "empty"])
 @pytest.mark.parametrize("command, flag", [("fit", "--out"), ("simulate", "--out"),
                                            ("simulate", "--summary-out"), ("predict", "--out")])
 def test_an_unwritable_output_path_exits_two_before_any_fit(
@@ -146,7 +146,8 @@ def test_an_unwritable_output_path_exits_two_before_any_fit(
                      "--summary-out": str(tmp_path / "o.summary")},
         "predict": {"--model": str(model), "--data": str(new), "--out": str(tmp_path / "p.json")},
     }[command]
-    bad = tmp_path if target == "directory" else tmp_path / "missing" / "o.out"
+    bad = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "o.out",
+           "empty": ""}[target]
     args[flag] = str(bad)
     with pytest.raises(OSError) as opened:  # what writing the file would raise
         open(bad, "w", encoding="utf-8")
@@ -154,6 +155,22 @@ def test_an_unwritable_output_path_exits_two_before_any_fit(
     assert cli([command, *(x for kv in args.items() for x in kv)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == f"error: {opened.value}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("method", ["laplace", "cs", "bernoulli"])
+def test_a_response_only_csv_fits_the_same_bundle_with_or_without_standardizing(
+    tmp_path, method
+):
+    y = np.random.default_rng(12).poisson(2.5, size=30)
+    data = tmp_path / "y.csv"
+    data.write_text("y\n" + "".join(f"{v}\n" for v in y), encoding="utf-8")
+    bundles = []
+    for flags in ([], ["--no-standardize"]):
+        out = tmp_path / f"{method}{len(flags)}.json"
+        assert cli(["fit", "--method", method, "--data", str(data), "--response", "y",
+                    *flags, "--out", str(out)]) == EXIT_OK
+        bundles.append(out.read_bytes())
+    assert bundles[0] == bundles[1]
 
 
 @pytest.mark.parametrize("flag", ["--data", "--config"])

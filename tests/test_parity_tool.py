@@ -104,6 +104,19 @@ def test_a_moved_field_names_the_case_of_its_largest_relative_move(tmp_path, cap
     assert next(x for x in lines if "e_tau_inv" in x).endswith("rel 0")
 
 
+def test_a_moved_field_counts_the_cases_that_moved(tmp_path, capsys):
+    b = _moved(("result.elbo_trace", "low0.cs"), ("simulate.tsre", "high.laplace.0"))
+    b["fields"]["simulate.tsre"]["mid.laplace.0"] = [0.3]  # a case only one side has
+    assert _exit(tmp_path, _BASE, b, "elbo_trace", "tsre") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert next(x for x in lines if "elbo_trace" in x).startswith(
+        "MOVED result.elbo_trace in 1 of 2 cases: abs")
+    assert next(x for x in lines if "tsre" in x).startswith(
+        "MOVED simulate.tsre in 2 of 3 cases: abs")
+    assert next(x for x in lines if "e_tau_inv" in x).startswith(
+        "same  result.hyper_expectations.e_tau_inv: abs")
+
+
 def test_a_moved_field_reports_its_move_relative_to_the_largest_magnitude(tmp_path, capsys):
     # an off-diagonal near zero inflates the elementwise move, not the norm-wise one
     base = copy.deepcopy(_BASE)

@@ -2,15 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from vbpoisson import sparsify
 from vbpoisson.core import Dataset, GaussianPosterior, FitResult, Method
-from vbpoisson.sparsify import (
-    default_grid,
-    poisson_loglik,
-    threshold_bernoulli,
-    threshold_hard,
-)
+from vbpoisson.sparsify import poisson_loglik, threshold_bernoulli, threshold_hard
 
 
 def _fit_from(mu, method=Method.LAPLACE, p_incl=None):
@@ -47,50 +45,69 @@ def test_poisson_loglik_overflow_returns_minus_inf():
     assert poisson_loglik(beta, ds) == -np.inf
 
 
-def test_zero_threshold_grid_is_identity():
-    ds = _dataset()
-    mu = np.array([0.2, 0.4, -0.3, 0.05])
-    sparse = threshold_hard(_fit_from(mu), ds, grid=np.array([0.0]))
-    np.testing.assert_array_equal(sparse.beta_hat, mu)
+def test_strong_slopes_get_the_zero_threshold():
+    rng = np.random.default_rng(5)
+    mu = np.array([0.2, 0.8, -0.6, 0.5])
+    x = np.column_stack([np.ones(200), rng.standard_normal((200, 3))])
+    ds = Dataset(x, rng.poisson(np.exp(x @ mu)).astype(float))
+    sparse = threshold_hard(_fit_from(mu), ds)
     assert sparse.kappa == 0.0
+    np.testing.assert_array_equal(sparse.beta_hat, mu)
     assert sparse.df == 4
 
 
-def test_threshold_search_matches_brute_force():
-    rng = np.random.default_rng(21)
-    for trial in range(20):
-        ds = _dataset(seed=100 + trial, p=5)
-        mu = rng.normal(0.0, 0.5, size=5)
-        fit = _fit_from(mu)
-        grid = default_grid(mu)
-        sparse = threshold_hard(fit, ds, grid=grid)
-        best_aic = np.inf
-        best_kappa = None
-        for kappa in np.sort(grid):
-            bh = mu.copy()
-            bh[1:] = np.where(np.abs(mu[1:]) <= kappa, 0.0, mu[1:])
-            df = 1 + int(np.count_nonzero(bh[1:]))
-            aic = -poisson_loglik(bh, ds) + 2.0 * df
-            if aic <= best_aic:
-                best_aic = aic
-                best_kappa = kappa
-        assert sparse.kappa == pytest.approx(best_kappa)
-        assert sparse.aic == pytest.approx(best_aic)
+def _criterion(mu, kappa, ds):
+    """-loglik + 2 df of the slopes above `kappa`, the intercept always kept."""
+    bh = mu.copy()
+    bh[1:] = np.where(np.abs(mu[1:]) <= kappa, 0.0, mu[1:])
+    df = 1 + int(np.count_nonzero(bh[1:]))
+    return -poisson_loglik(bh, ds) + 2.0 * df
 
 
-def test_ties_go_to_the_larger_threshold():
-    ds = _dataset()
-    mu = np.array([0.2, 0.0, 0.0, 0.0])
-    # every threshold produces the same fit, so the last (largest) one wins
-    sparse = threshold_hard(_fit_from(mu), ds, grid=np.array([0.01, 0.1, 1.0]))
-    assert sparse.kappa == pytest.approx(1.0)
+@st.composite
+def _threshold_cases(draw):
+    """A Poisson dataset and slopes with exact zeros and repeated magnitudes."""
+    p, n = draw(st.integers(1, 8)), draw(st.integers(5, 60))
+    pool = [0.0] + draw(st.lists(st.floats(1e-6, 1.5), min_size=1, max_size=4))
+    slopes = [draw(st.sampled_from(pool)) * draw(st.sampled_from([-1.0, 1.0]))
+              for _ in range(p - 1)]
+    mu = np.array([draw(st.floats(-1.0, 1.5))] + slopes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+    truth = mu * draw(st.floats(0.0, 1.0))
+    y = rng.poisson(np.exp(np.clip(x @ truth, None, 4.0))).astype(float)
+    return mu, Dataset(x, y)
 
 
-def test_intercept_survives_any_threshold():
-    ds = _dataset()
-    mu = np.array([1e-6, 0.5, 0.5, 0.5])
-    sparse = threshold_hard(_fit_from(mu), ds, grid=np.array([10.0]))
-    assert sparse.beta_hat[0] == pytest.approx(1e-6)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_threshold_cases())
+def test_threshold_search_matches_brute_force(case):
+    mu, ds = case
+    sparse = threshold_hard(_fit_from(mu), ds)
+    mags = np.abs(mu[1:])
+    top = mags.max(initial=0.0)
+    seen = {}  # thresholds that zero the same slopes share one criterion
+    for kappa in np.concatenate(([0.0], mags, np.linspace(0.0, 1.1 * top, 2001))):
+        key = tuple(mags <= kappa)
+        if key not in seen:
+            seen[key] = _criterion(mu, kappa, ds)
+        assert sparse.aic <= seen[key] + 1e-9 * abs(seen[key])
+    assert sparse.kappa in np.append(mags, 0.0)
+    zeroed = np.flatnonzero(sparse.beta_hat[1:] == 0.0)
+    np.testing.assert_array_equal(zeroed, np.flatnonzero(mags <= sparse.kappa))
+    assert sparse.beta_hat[0] == mu[0] and sparse.p_binary[0] == 1.0 and 0 in sparse.support
+
+
+def test_ties_go_to_the_larger_threshold(monkeypatch):
+    monkeypatch.setattr(sparsify, "_aic", lambda loglik, df: 1.0)
+    sparse = threshold_hard(_fit_from(np.array([0.2, 0.5, -0.9, 0.5])), _dataset())
+    assert sparse.kappa == 0.9
+
+
+def test_intercept_survives_any_threshold(monkeypatch):
+    monkeypatch.setattr(sparsify, "_aic", lambda loglik, df: 1.0)
+    sparse = threshold_hard(_fit_from(np.array([1e-6, 0.5, 0.5, 0.5])), _dataset())
+    assert sparse.beta_hat[0] == 1e-6
     assert sparse.support == (0,)
     assert sparse.p_binary[0] == 1.0
 
@@ -122,28 +139,10 @@ def test_hard_rule_rejects_bernoulli_fit():
         threshold_hard(fit, ds)
 
 
-def test_empty_grid_rejected():
-    ds = _dataset()
-    with pytest.raises(ValueError):
-        threshold_hard(_fit_from(np.array([0.1, 0.2, 0.3, 0.4])), ds, grid=np.array([]))
-
-
-def test_default_grid_spans_the_slopes():
-    mu = np.array([0.5, 0.02, -0.9, 0.1])
-    grid = default_grid(mu)
-    assert grid[0] == pytest.approx(1e-4)
-    assert grid[-1] == pytest.approx(0.9)
-    assert np.all(np.diff(grid) > 0.0)
-
-
-def test_the_top_threshold_zeroes_the_largest_slope():
-    # 10**log10(3.7) rounds an ulp below 3.7, where a plain logspace grid ends
+def test_the_top_threshold_zeroes_the_largest_slope(monkeypatch):
+    monkeypatch.setattr(sparsify, "_aic", lambda loglik, df: 1.0)
     mu = np.array([0.2, 0.4, -3.7, 0.05])
-    assert np.logspace(-4, np.log10(3.7), 50)[-1] < 3.7
-    grid = default_grid(mu)
-    assert grid[-1] == 3.7
-    np.testing.assert_array_equal(grid[:-1], np.logspace(-4, np.log10(3.7), 50)[:-1])
-    sparse = threshold_hard(_fit_from(mu), _dataset(), grid=grid[-1:])
+    sparse = threshold_hard(_fit_from(mu), _dataset())
     assert sparse.kappa == 3.7
     assert sparse.support == (0,)
     np.testing.assert_array_equal(sparse.beta_hat, [0.2, 0.0, 0.0, 0.0])

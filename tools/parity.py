@@ -22,7 +22,8 @@ command's exit code and streams, keyed by the path or command line.
 `--compare` prints the largest move per field: absolute, norm-wise (a case's
 largest absolute move over that case's largest magnitude, which entries near
 zero do not inflate) and relative, with the case of its largest relative
-move. It prints whether each file moved, and exits 1 if any moved outside
+move, and on a moved field's line how many of its cases moved (`in 8 of 100
+cases`). It prints whether each file moved, and exits 1 if any moved outside
 `--allow`. `--allow NAME` matches a field named NAME or ending in
 `.NAME`, and a file whose key is NAME, ends in `.NAME` (`summary`) or is
 the streams of a NAME command (`fit`, `predict`, `simulate`, `validate`).
@@ -237,8 +238,9 @@ def compare(a, b, allow):
     for name in sorted(set(a["fields"]) | set(b["fields"])):
         fa, fb = a["fields"].get(name, {}), b["fields"].get(name, {})
         d_abs = d_rel = d_norm = 0.0
-        worst, refused = None, []
-        for case in sorted(set(fa) | set(fb)):
+        worst, refused, moved = None, [], 0
+        cases = sorted(set(fa) | set(fb))
+        for case in cases:
             va, vb = fa.get(case), fb.get(case)
             c_abs = c_rel = c_norm = 0.0
             if isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb):
@@ -254,10 +256,13 @@ def compare(a, b, allow):
             if c_rel > d_rel:
                 worst = case
             d_abs, d_rel, d_norm = max(d_abs, c_abs), max(d_rel, c_rel), max(d_norm, c_norm)
+            moved += c_abs > 0
             if c_abs > 0 and not _allowed(allow, name, case):
                 refused.append(case)
         bad += bool(refused)
-        print(f"{'MOVED' if d_abs > 0 else 'same '} {name}: abs {d_abs:.3g}"
+        print(f"{'MOVED' if d_abs > 0 else 'same '} {name}"
+              + (f" in {moved} of {len(cases)} cases" if moved else "")
+              + f": abs {d_abs:.3g}"
               + (f" norm {d_norm:.3g}" if d_abs > 0 else "") + f" rel {d_rel:.3g}"
               + (f" (at {worst})" if d_abs > 0 else "")
               + (f" NOT ALLOWED in {', '.join(refused[:5])}" if refused else ""))
