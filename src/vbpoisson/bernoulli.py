@@ -11,7 +11,7 @@ from .cavi import damped_step, indicator_terms, pi_expectations, update_pi
 from .core import Dataset, FitResult, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, refresh
-from .linalg import GaussianFactor, gaussian_factor, single_blas_thread
+from .linalg import GaussianPosterior, gaussian_factor, single_blas_thread
 from .special_math import gamma_entropy
 
 
@@ -20,7 +20,7 @@ class BernoulliState:
     """Variational state for the Bernoulli-Gaussian engine; rate_alpha holds the
     rates of the Gamma precision factors (NaN until the first sweep)."""
 
-    posterior: GaussianFactor
+    posterior: GaussianPosterior
     p_incl: np.ndarray
     e_alpha: np.ndarray
     rate_alpha: np.ndarray
@@ -28,7 +28,6 @@ class BernoulliState:
     e_log_pi: np.ndarray
     e_log_1mpi: np.ndarray
     quad: QuadApprox
-    logdet_sigma: float = 0.0
 
     @property
     def linear_coef(self) -> np.ndarray:
@@ -44,7 +43,7 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
     p_incl[0] = 1.0
     e_log_pi, e_log_1mpi = pi_expectations(p_incl, hp)
     state = BernoulliState(
-        posterior=GaussianFactor(np.zeros(p), np.eye(p)),
+        posterior=GaussianPosterior(np.zeros(p)),
         p_incl=p_incl,
         e_alpha=np.full(p, hp.a_gamma / hp.b_gamma),
         rate_alpha=np.full(p, np.nan),
@@ -53,12 +52,12 @@ def init_bernoulli(dataset: Dataset, hp: Hyperparameters) -> BernoulliState:
         e_log_1mpi=e_log_1mpi,
         quad=refresh(np.log1p(dataset.response), dataset),
     )
-    state.posterior, state.logdet_sigma = update_beta_bernoulli(state)
+    state.posterior = update_beta_bernoulli(state)
     state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def update_beta_bernoulli(state: BernoulliState) -> tuple[GaussianFactor, float]:
+def update_beta_bernoulli(state: BernoulliState) -> GaussianPosterior:
     """Gaussian coefficient factor under the mask's design moments S o Omega."""
     p = state.p_incl
     return gaussian_factor(state.e_alpha, state.quad, p * state.quad.score, col=p)
@@ -98,7 +97,7 @@ def update_bernoulli(
     state: BernoulliState, dataset: Dataset, hp: Hyperparameters
 ) -> BernoulliState:
     """One sweep at fixed xi: coefficients, precisions, Beta factors, then the mask."""
-    state.posterior, state.logdet_sigma = update_beta_bernoulli(state)
+    state.posterior = update_beta_bernoulli(state)
     state.rate_alpha, state.e_alpha = update_alpha_bernoulli(state, hp)
     update_pi(state, hp)
     state.p_incl = update_gamma_bernoulli(state)
@@ -113,7 +112,7 @@ def elbo_bernoulli(state: BernoulliState, dataset: Dataset, hp: Hyperparameters)
         "beta_prior": -0.5 * float(np.sum(d_diag * state.e_alpha)),
         **indicator_terms(state, hp, "gamma"),
         "alpha_prior": -hp.b_gamma * float(np.sum(state.e_alpha)),
-        "beta_entropy": 0.5 * state.logdet_sigma,
+        "beta_entropy": 0.5 * state.posterior.logdet,
         "alpha_entropy": float(np.sum(gamma_entropy(hp.a_gamma + 0.5, state.rate_alpha))),
     }
 

@@ -46,10 +46,9 @@ class CaviRun:
         hyper_expectations: dict,
         interval_posterior: GaussianPosterior | None = None,
     ) -> FitResult:
-        post = self.state.posterior  # an engine's factor forms its dense covariance here
         return FitResult(
             method=method,
-            posterior=GaussianPosterior(post.mean, post.covariance),
+            posterior=self.state.posterior,
             inclusion_prob=inclusion_prob,
             hyper_expectations=hyper_expectations,
             elbo_trace=np.array(self.trace),

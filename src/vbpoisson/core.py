@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import GaussianPosterior
+
 
 class Method(enum.Enum):
     LAPLACE = "laplace"
@@ -97,14 +99,6 @@ def rho2_for_inclusion(p0: float) -> float:
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must lie in (0, 1)")
     return (1.0 - p0) / p0
-
-
-@dataclass(frozen=True)
-class GaussianPosterior:
-    """Mean vector and covariance of the Gaussian coefficient factor."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
 
 
 @dataclass(frozen=True)

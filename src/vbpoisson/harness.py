@@ -44,6 +44,8 @@ class ScenarioConfig:
         for name in ("sigma0", "sigma2_x"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative; got {getattr(self, name)}")
+        if self.mu0 == 0.0 and self.sigma0 == 0.0:
+            raise ValueError("mu0 and sigma0 cannot both be 0: every coefficient would be 0")
         # the study's prior inclusion fraction needs at least one inactive slope
         if self.z_mask is not None:
             mask = np.asarray(self.z_mask, dtype=float)
@@ -204,7 +206,7 @@ def run_study(
     config: ScenarioConfig, methods: tuple = (Method.LAPLACE, Method.CS, Method.BERNOULLI)
 ) -> StudyResult:
     """Seeded replication loop; every replication is independently reseeded."""
-    reports = {m: MetricsReport(coverage=np.zeros(config.p)) for m in methods}
+    reports = {m: MetricsReport(coverage=np.full(config.p, np.nan)) for m in methods}
     # one (beta_hat, beta_true, train predictions, train counts, test
     # predictions, test counts, covered, fnr, fpr) record per completed fit
     records = {m: [] for m in methods}

@@ -10,7 +10,7 @@ from . import cavi
 from .core import Dataset, FitResult, Hyperparameters, Method
 from .errors import NumericalError
 from .likelihood import QuadApprox, refresh
-from .linalg import GaussianFactor, gaussian_factor, single_blas_thread
+from .linalg import GaussianPosterior, gaussian_factor, single_blas_thread
 from .special_math import gamma_entropy, gig_moments
 
 
@@ -25,13 +25,12 @@ class LaplaceState:
     first sweep).
     """
 
-    posterior: GaussianFactor
+    posterior: GaussianPosterior
     e_tau: np.ndarray
     e_tau_inv: np.ndarray
     e_eta: float
     e_a_inv: float
     quad: QuadApprox
-    logdet_sigma: float = 0.0
     rate_eta: float = np.nan
     rate_tau0: float = np.nan
     rate_a: float = np.nan
@@ -47,19 +46,19 @@ def init_laplace(dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
         raise ValueError("dataset must be non-empty")
     p = dataset.p
     state = LaplaceState(
-        posterior=GaussianFactor(np.zeros(p), np.eye(p)),
+        posterior=GaussianPosterior(np.zeros(p)),
         e_tau=np.ones(p),
         e_tau_inv=np.ones(p),
         e_eta=hp.nu / hp.delta,
         e_a_inv=hp.A,
         quad=refresh(np.log1p(dataset.response), dataset),
     )
-    state.posterior, state.logdet_sigma = update_beta_laplace(state)
+    state.posterior = update_beta_laplace(state)
     state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def update_beta_laplace(state: LaplaceState) -> tuple[GaussianFactor, float]:
+def update_beta_laplace(state: LaplaceState) -> GaussianPosterior:
     """Gaussian coefficient factor at fixed xi, with its log-determinant."""
     return gaussian_factor(state.e_tau_inv, state.quad, state.quad.score)
 
@@ -85,7 +84,7 @@ def update_hypers_laplace(state: LaplaceState, hp: Hyperparameters) -> LaplaceSt
 
 def update_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> LaplaceState:
     """One sweep at fixed xi: the coefficients, then the scale hierarchy."""
-    state.posterior, state.logdet_sigma = update_beta_laplace(state)
+    state.posterior = update_beta_laplace(state)
     return update_hypers_laplace(state, hp)
 
 
@@ -105,7 +104,7 @@ def elbo_laplace(state: LaplaceState, dataset: Dataset, hp: Hyperparameters) -> 
         "eta_prior": -hp.delta * state.e_eta,
         "tau0_prior": -state.e_a_inv * state.e_tau_inv[0],
         "a_prior": -state.e_a_inv / hp.A,
-        "beta_entropy": 0.5 * state.logdet_sigma,
+        "beta_entropy": 0.5 * state.posterior.logdet,
         # the GIG(1/2, E eta, d_j) entropies less E log tau_j: at r = sqrt(E eta d_j),
         # K_1/2(r) = sqrt(pi/2r)e^-r, E eta E tau_j = 1 + r and d_j E 1/tau_j = r, which
         # hold on each state update_hypers_laplace built, not init_laplace's (never scored)

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Dataset
 from .errors import DivergenceError
 from .special_math import log_gamma
+
+if TYPE_CHECKING:
+    from .core import Dataset
 
 XI_OVERFLOW = 700.0
 

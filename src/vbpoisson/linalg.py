@@ -1,5 +1,5 @@
 """Symmetric positive definite solves shared by the fit engines, the
-Gaussian coefficient factor they leave, and the BLAS thread pin every fit
+Gaussian coefficient posterior they leave, and the BLAS thread pin every fit
 runs under."""
 
 from __future__ import annotations
@@ -149,30 +149,31 @@ def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, fl
     return v, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-class GaussianFactor:
-    """Gaussian coefficient factor N(mean, Sigma) as one solve leaves it.
+class GaussianPosterior:
+    """Gaussian coefficient posterior N(mean, Sigma) as its solve left it.
 
-    A dense solve holds Sigma. A capacitance solve holds d and V, with
+    It holds a dense Sigma, or, from a capacitance solve, d and V with
     Sigma = D^-1 - V^T V, so its variances and expected surrogate
-    log-likelihood cost O(np) and O(n^2 p); its p x p Sigma is formed on the
-    first read of `covariance` and kept.
+    log-likelihood cost O(np) and O(n^2 p); its p x p Sigma is then formed on
+    the first read of `covariance` and kept. logdet, log|Sigma|, is set by
+    `gaussian_factor` and is None otherwise.
     """
 
     def __init__(
         self,
         mean: np.ndarray,
-        sigma: np.ndarray | None = None,
+        covariance: np.ndarray | None = None,
         d: np.ndarray | None = None,
         v: np.ndarray | None = None,
+        logdet: float | None = None,
     ):
-        self.mean = mean
-        self._sigma, self._d, self._v = sigma, d, v
+        self.mean, self.logdet, self._d, self._v = mean, logdet, d, v
+        if v is None:  # the instance attribute shadows the property below
+            self.covariance = covariance
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """Sigma as one p x p matrix."""
-        if self._v is None:
-            return self._sigma
+        """Sigma as one p x p matrix, formed from d and V."""
         sigma = -(self._v.T @ self._v)
         sigma.flat[:: self._d.shape[0] + 1] += 1.0 / self._d
         return sigma
@@ -181,7 +182,7 @@ class GaussianFactor:
     def variances(self) -> np.ndarray:
         """The diagonal of Sigma."""
         if self._v is None:
-            return np.diag(self._sigma)
+            return np.diag(self.covariance)
         return 1.0 / self._d - np.einsum("ij,ij->j", self._v, self._v)
 
     @cached_property
@@ -191,12 +192,12 @@ class GaussianFactor:
 
     def expected_loglik(self, quad: QuadApprox, col: np.ndarray | None = None) -> float:
         """approx_loglik at the bound `quad` for the coefficients col * beta
-        (beta itself if col is None), beta drawn from this factor.
+        (beta itself if col is None), beta drawn from this posterior.
 
         Its trace term is tr((S o Omega)(mu mu^T + Sigma)) with S o Omega as in
         `gaussian_factor`: that of S o (col col^T), plus, for a mask,
-        sum_j col_j (1 - col_j) S_jj E beta_j^2. A dense factor sums the first
-        elementwise. A capacitance factor forms neither S nor Sigma: with
+        sum_j col_j (1 - col_j) S_jj E beta_j^2. A dense posterior sums the
+        first elementwise. A capacitance one forms neither S nor Sigma: with
         R = quad.root(col), it is |R mu|^2 + sum_ij r_ij^2 / d_j - |V R^T|^2.
         """
         mu, dense = self.mean, self._v is None
@@ -206,7 +207,7 @@ class GaussianFactor:
             trace = np.sum(_mask_variance(quad, col, root) * self.second_moments)
         if dense:
             s_x = quad.s_x_xi if col is None else quad.s_x_xi * np.outer(col, col)
-            trace += np.vdot(s_x, np.outer(mu, mu) + self._sigma)
+            trace += np.vdot(s_x, np.outer(mu, mu) + self.covariance)
         else:
             root = root if col is None else root * col
             fit = root @ mu
@@ -225,9 +226,9 @@ def _mask_variance(quad: QuadApprox, col: np.ndarray, root: np.ndarray | None) -
 
 def gaussian_factor(
     prior: np.ndarray, quad: QuadApprox, score: np.ndarray, col: np.ndarray | None = None
-) -> tuple[GaussianFactor, float]:
-    """Gaussian with precision S o Omega + diag(prior) and mean precision^-1 score;
-    returns it with the log-determinant of its covariance.
+) -> GaussianPosterior:
+    """Gaussian with precision S o Omega + diag(prior) and mean precision^-1 score,
+    with the log-determinant of its covariance.
 
     S is `quad.s_x_xi`. Omega is all ones, or, for a mask with inclusion
     probabilities col, its second moments col col^T + diag(col (1 - col))
@@ -251,9 +252,9 @@ def gaussian_factor(
         # prior leaves loose, so one step of iterative refinement follows
         mean = apply_sigma(score)
         mean += apply_sigma(score - d * mean - root.T @ (root @ mean))
-        return GaussianFactor(mean, d=d, v=v), logdet
+        return GaussianPosterior(mean, d=d, v=v, logdet=logdet)
     s_x, d = quad.s_x_xi, prior
     if col is not None:
         s_x, d = s_x * np.outer(col, col), prior + _mask_variance(quad, col, None)
     sigma, logdet = pd_inverse(s_x + np.diag(d))
-    return GaussianFactor(sigma @ score, sigma), logdet
+    return GaussianPosterior(sigma @ score, sigma, logdet=logdet)

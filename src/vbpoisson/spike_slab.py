@@ -8,10 +8,10 @@ import numpy as np
 
 from . import cavi
 from .cavi import damped_step, indicator_terms, pi_expectations, update_pi
-from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
+from .core import Dataset, FitResult, Hyperparameters, Method
 from .errors import DivergenceError, NumericalError
 from .likelihood import QuadApprox, refresh
-from .linalg import GaussianFactor, gaussian_factor, single_blas_thread
+from .linalg import GaussianPosterior, gaussian_factor, single_blas_thread
 from .special_math import gamma_entropy
 
 
@@ -20,7 +20,7 @@ class CsState:
     """Variational state for the spike-and-slab engine; alpha_tau2 and beta_tau2
     are the inverse-Gamma slab variance's shape and rate, and rate_a is a's rate."""
 
-    posterior: GaussianFactor
+    posterior: GaussianPosterior
     p_incl: np.ndarray
     e_tau2_inv: float
     e_a_inv: float
@@ -31,7 +31,6 @@ class CsState:
     alpha_tau2: float
     beta_tau2: float
     rate_a: float
-    logdet_sigma: float = 0.0
 
     @property
     def linear_coef(self) -> np.ndarray:
@@ -50,7 +49,7 @@ def init_cs(dataset: Dataset, hp: Hyperparameters, p_start: float = 0.5) -> CsSt
     alpha = max((p - 1) / 2.0, 0.5)
     e_log_pi, e_log_1mpi = pi_expectations(p_incl, hp)
     state = CsState(
-        posterior=GaussianFactor(np.zeros(p), np.eye(p)),
+        posterior=GaussianPosterior(np.zeros(p)),
         p_incl=p_incl,
         e_tau2_inv=1.0,
         e_a_inv=hp.A,
@@ -62,12 +61,12 @@ def init_cs(dataset: Dataset, hp: Hyperparameters, p_start: float = 0.5) -> CsSt
         beta_tau2=alpha,
         rate_a=1.0 / hp.A,
     )
-    state.posterior, state.logdet_sigma = update_beta_cs(state, hp)
+    state.posterior = update_beta_cs(state, hp)
     state.quad = refresh(dataset.design @ state.linear_coef, dataset)
     return state
 
 
-def update_beta_cs(state: CsState, hp: Hyperparameters) -> tuple[GaussianFactor, float]:
+def update_beta_cs(state: CsState, hp: Hyperparameters) -> GaussianPosterior:
     """Gaussian coefficient factor under the mixed spike/slab precision."""
     prior_prec = state.e_tau2_inv * (state.p_incl + (1.0 - state.p_incl) / hp.c)
     return gaussian_factor(prior_prec, state.quad, state.quad.score)
@@ -104,7 +103,7 @@ def update_z_cs(state: CsState, hp: Hyperparameters) -> np.ndarray:
 
 def update_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> CsState:
     """One sweep at fixed xi: coefficients, slab variance, Beta factors, indicators."""
-    state.posterior, state.logdet_sigma = update_beta_cs(state, hp)
+    state.posterior = update_beta_cs(state, hp)
     state.beta_tau2, state.e_tau2_inv = update_tau2_cs(state, hp)
     state.rate_a = state.e_tau2_inv + 1.0 / hp.A
     state.e_a_inv = 1.0 / state.rate_a
@@ -126,7 +125,7 @@ def elbo_cs(state: CsState, dataset: Dataset, hp: Hyperparameters) -> dict:
         **indicator_terms(state, hp, "z"),
         "tau2_prior": -e_t2i * state.e_a_inv,
         "a_prior": -state.e_a_inv / hp.A,
-        "beta_entropy": 0.5 * state.logdet_sigma,
+        "beta_entropy": 0.5 * state.posterior.logdet,
         "tau2_entropy": gamma_entropy(state.alpha_tau2, state.beta_tau2),
         "a_entropy": gamma_entropy(1.0, state.rate_a),
     }
@@ -154,7 +153,7 @@ def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
     state = best.state
     # coefficient posterior with every coefficient held in the slab, for
     # interval summaries that should not inherit spike commitment
-    slab, _ = gaussian_factor(np.full(dataset.p, state.e_tau2_inv), state.quad, state.quad.score)
+    slab = gaussian_factor(np.full(dataset.p, state.e_tau2_inv), state.quad, state.quad.score)
     return best.fit_result(
         Method.CS,
         state.p_incl.copy(),
@@ -166,5 +165,5 @@ def fit_cs(dataset: Dataset, hp: Hyperparameters | None = None) -> FitResult:
             "e_log_pi": state.e_log_pi.copy(),
             "e_log_1mpi": state.e_log_1mpi.copy(),
         },
-        interval_posterior=GaussianPosterior(slab.mean, slab.covariance),
+        interval_posterior=slab,
     )

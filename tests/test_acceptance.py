@@ -27,7 +27,7 @@ from vbpoisson.core import (
 )
 from vbpoisson.harness import HIGH_DIM, LOW_DIM, generate, run_study
 from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_laplace
-from vbpoisson.likelihood import quad_bound
+from vbpoisson.likelihood import XI_OVERFLOW, poisson_logpmf, quad_bound
 from vbpoisson.mcmc import McmcConfig, accuracy, sample
 from vbpoisson.predict import predictive_distribution
 from vbpoisson.sparsify import poisson_loglik, threshold_bernoulli, threshold_hard
@@ -273,8 +273,16 @@ def test_sparsification_rules():
             at_breaks = {k: criterion(k) for k in np.append(mags, 0.0)}
             least = min(at_breaks.values())
             best_kappa = max(k for k, aic in at_breaks.items() if aic == least)
+            # the criterion at each scan point, from one X B^T product: row k
+            # of B is the mean thresholded at scan[k]
             scan = np.linspace(0.0, 1.1 * mags.max(), 10_000)
-            best_aic = min(least, *map(criterion, scan))
+            slopes = np.where(mags <= scan[:, None], 0.0, mu[1:])
+            eta = ds.design @ np.column_stack([np.full(scan.size, mu[0]), slopes]).T
+            with np.errstate(over="ignore"):
+                loglik = np.sum(poisson_logpmf(ds.response[:, None], eta), axis=0)
+            loglik[np.any(eta > XI_OVERFLOW, axis=0)] = -np.inf
+            scan_aic = -loglik + 2.0 * (1 + np.count_nonzero(slopes, axis=1))
+            best_aic = min(least, scan_aic.min())
             ok = ok and abs(sparse.aic - best_aic) <= 1e-9 * abs(best_aic)
             ok = ok and sparse.kappa == best_kappa
             checked += 1

@@ -475,6 +475,8 @@ def _without(cfg, key):
         ("simulate", {**_CUSTOM, "sigma2_x": "-1"}, "sigma2_x must be non-negative"),
         ("simulate", {**_CUSTOM, "mu0": "nan"}, "mu0 must be finite"),
         ("simulate", {**_CUSTOM, "mu_x": "inf"}, "mu_x must be finite"),
+        ("simulate", {**_CUSTOM, "mu0": "0", "sigma0": "0"},
+         "invalid scenario config: mu0 and sigma0 cannot both be 0"),
         ("simulate", {**_CUSTOM, "z_mask": "1,1,1,1,1"}, "at least one slope at 0"),
         ("simulate", {**_CUSTOM, "z_mask": "1,0,2,0,0"}, "z_mask entries must be 0 or 1"),
         ("simulate", {**_without(_CUSTOM, "z_mask"), "random_k": "5"}, "random_k must lie"),
@@ -483,8 +485,8 @@ def _without(cfg, key):
     ],
     ids=["epsilon-abc", "c-2", "no-sigma0", "random_k-9", "n-abc", "n-1", "methods-foo",
          "nu-inf", "delta-inf", "A-inf", "rho2-inf", "sigma0-neg", "sigma0-inf", "sigma2_x-neg",
-         "mu0-nan", "mu_x-inf", "z_mask-full", "z_mask-2", "random_k-p", "methods-empty",
-         "methods-repeated"],
+         "mu0-nan", "mu_x-inf", "zero-coefficients", "z_mask-full", "z_mask-2", "random_k-p",
+         "methods-empty", "methods-repeated"],
 )
 def test_invalid_config_values_exit_two(tmp_path, data_csv, capsys, command, config, message):
     argv = ["--out", str(tmp_path / "o.out")]

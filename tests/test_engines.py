@@ -15,7 +15,7 @@ from vbpoisson.core import Dataset, Hyperparameters, Method
 from vbpoisson.harness import LOW_DIM, generate
 from vbpoisson.laplace import elbo_laplace, fit_laplace, init_laplace, update_laplace
 from vbpoisson.likelihood import QuadApprox, refresh
-from vbpoisson.linalg import GaussianFactor, pd_inverse
+from vbpoisson.linalg import GaussianPosterior, pd_inverse
 from vbpoisson.spike_slab import elbo_cs, fit_cs, init_cs, update_cs
 
 
@@ -79,14 +79,14 @@ def test_a_wide_design_gets_the_factor_of_the_dense_precision(engine):
         precision = s * (np.outer(p, p) + np.diag(p * (1.0 - p))) + np.diag(state.e_alpha)
         score = p * score
     sigma, logdet = pd_inverse(precision)
-    post, logdet_new = beta(state)
+    post = beta(state)
     # covariance is the factor's one dense accessor; the variances come from V
     np.testing.assert_allclose(post.covariance, sigma, rtol=0, atol=1e-10 * np.max(np.abs(sigma)))
     np.testing.assert_allclose(
         post.variances, np.diag(sigma), rtol=0, atol=1e-10 * np.max(np.abs(sigma)))
     mean = sigma @ score
     np.testing.assert_allclose(post.mean, mean, rtol=0, atol=1e-10 * np.max(np.abs(mean)))
-    assert logdet_new == pytest.approx(logdet, rel=1e-10)
+    assert post.logdet == pytest.approx(logdet, rel=1e-10)
 
 
 def _count_computations(monkeypatch, cls, name, counts):
@@ -104,18 +104,18 @@ def _count_computations(monkeypatch, cls, name, counts):
 
 @pytest.mark.parametrize("fitter", [fit_laplace, fit_cs, fit_bernoulli])
 def test_a_wide_fit_forms_no_p_by_p_matrix_per_sweep(monkeypatch, fitter):
-    # n < p: Laplace and CS form X^T W X never and their dense covariance once
-    # per fit (CS: the winning start's and the slab interval factor's); the
-    # Bernoulli mask sweep reads both, once per sweep, and nothing else does
+    # n < p: Laplace and CS form neither X^T W X nor a dense covariance, which
+    # their fits form only when read; the Bernoulli mask sweep reads both, once
+    # per sweep, and nothing else does
     counts = {"s_x_xi": 0, "covariance": 0}
     _count_computations(monkeypatch, QuadApprox, "s_x_xi", counts)
-    _count_computations(monkeypatch, GaussianFactor, "covariance", counts)
+    _count_computations(monkeypatch, GaussianPosterior, "covariance", counts)
     ds, _ = _small_data(n=12, p=30)
     fit = fitter(ds, Hyperparameters(epsilon=1e-300, max_iter=15))
     assert fit.iterations == 15
     expected = {
-        fit_laplace: {"s_x_xi": 0, "covariance": 1},
-        fit_cs: {"s_x_xi": 0, "covariance": 2},
+        fit_laplace: {"s_x_xi": 0, "covariance": 0},
+        fit_cs: {"s_x_xi": 0, "covariance": 0},
         fit_bernoulli: {"s_x_xi": 15, "covariance": 15},
     }[fitter]
     assert counts == expected

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from vbpoisson import harness
 from vbpoisson.core import Method
+from vbpoisson.errors import NumericalError
 from vbpoisson.harness import (
     HIGH_DIM,
     LOW_DIM,
@@ -41,6 +43,9 @@ def test_config_validation():
             n=10, p=3, mu0=0.0, sigma0=1.0, mu_x=0.0, sigma2_x=1.0,
             random_k=2, train_fraction=1.0,
         )
+    # every coefficient would be zero, leaving the study no prior inclusion fraction
+    with pytest.raises(ValueError, match="mu0 and sigma0 cannot both be 0"):
+        ScenarioConfig(n=10, p=3, mu0=0.0, sigma0=0.0, mu_x=0.0, sigma2_x=1.0, random_k=1)
 
 
 def test_generate_is_deterministic_and_well_formed():
@@ -125,6 +130,18 @@ def test_run_study_produces_complete_records():
     assert rep.coverage.shape == (6,)
     assert np.all((0.0 <= rep.coverage) & (rep.coverage <= 1.0))
     assert rep.wall_time_s > 0.0
+
+
+def test_a_method_whose_every_fit_fails_reports_nan_coverage(monkeypatch):
+    def failing(dataset, hp):
+        raise NumericalError("precision matrix is not positive definite")
+
+    monkeypatch.setitem(harness.FITTERS, Method.CS, failing)
+    res = run_study(_tiny_config(reps=2), methods=(Method.LAPLACE, Method.CS))
+    failed = res.reports["cs"]
+    assert failed.failures == 2 and np.isnan(failed.tsre)
+    assert failed.coverage.shape == (6,) and np.all(np.isnan(failed.coverage))
+    assert np.all(np.isfinite(res.reports["laplace"].coverage))
 
 
 def test_run_study_is_deterministic():

@@ -9,7 +9,7 @@ from scipy import stats
 from vbpoisson.core import Dataset
 from vbpoisson.errors import DivergenceError
 from vbpoisson.likelihood import poisson_logpmf, quad_bound, refresh
-from vbpoisson.linalg import GaussianFactor
+from vbpoisson.linalg import GaussianPosterior
 
 
 def test_bound_touches_exponential_at_expansion_point():
@@ -63,7 +63,7 @@ def test_expected_loglik_single_zero_count():
     # the bound evaluates to -exp(0) = -1
     ds = Dataset(np.ones((1, 1)), np.zeros(1))
     q = refresh(np.zeros(1), ds)
-    point = GaussianFactor(np.zeros(1), np.zeros((1, 1)))
+    point = GaussianPosterior(np.zeros(1), np.zeros((1, 1)))
     assert point.expected_loglik(q) == pytest.approx(-1.0, rel=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_expected_loglik_matches_poisson_at_degenerate_posterior():
     ds = Dataset(x, y)
     eta = x @ beta
     q = refresh(eta, ds)
-    val = GaussianFactor(beta, np.zeros((3, 3))).expected_loglik(q)
+    val = GaussianPosterior(beta, np.zeros((3, 3))).expected_loglik(q)
     exact = float(y @ eta - np.sum(np.exp(eta)))
     assert val == pytest.approx(exact, rel=1e-10)
 
@@ -89,8 +89,8 @@ def test_expected_loglik_decreases_with_extra_variance():
     ds = Dataset(x, y)
     mu = np.array([0.1, 0.0, 0.0])
     q = refresh(x @ mu, ds)
-    tight = GaussianFactor(mu, np.zeros((3, 3))).expected_loglik(q)
-    loose = GaussianFactor(mu, 0.5 * np.eye(3)).expected_loglik(q)
+    tight = GaussianPosterior(mu, np.zeros((3, 3))).expected_loglik(q)
+    loose = GaussianPosterior(mu, 0.5 * np.eye(3)).expected_loglik(q)
     assert loose < tight
 
 
@@ -115,7 +115,7 @@ def test_expected_loglik_equals_the_matrix_product_trace():
             - 0.5 * np.trace(q.s_x_xi @ d_beta)
             + y @ xmu
         )
-        assert GaussianFactor(mu, sigma).expected_loglik(q) == pytest.approx(by_trace, rel=1e-12)
+        assert GaussianPosterior(mu, sigma).expected_loglik(q) == pytest.approx(by_trace, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -130,7 +130,7 @@ def test_expected_loglik_matches_the_trace_and_masked_forms(seed, n, p):
     m_xi = np.exp(q.xi) * (1.0 - q.xi)
     mu = rng.normal(0.0, 2.0, p)
     a = rng.standard_normal((p, p))
-    factor = GaussianFactor(mu, a @ a.T / p + 1e-3 * np.eye(p))
+    factor = GaussianPosterior(mu, a @ a.T / p + 1e-3 * np.eye(p))
     d_beta = np.outer(mu, mu) + factor.covariance
     xmu = x @ mu
     by_trace = float(

@@ -234,3 +234,23 @@ def test_a_chain_case_records_its_chain_beside_the_fit():
         # a rerun is identical, so only a changed sampler can move a chain
         assert {name: fields[name][case] for name in chain_fields} == {
             name: again[name][case] for name in chain_fields}
+
+
+def test_a_posterior_is_recorded_as_its_mean_and_covariance():
+    # the posterior is no dataclass, and a low-rank one forms its covariance
+    # only when read; the manifest keys stay those of a (mean, covariance) pair
+    from vbpoisson import FitResult, GaussianPosterior, Method
+    from vbpoisson.linalg import capacitance_inverse
+    rng = np.random.default_rng(5)
+    d = rng.uniform(1.0, 2.0, 4)
+    v, logdet = capacitance_inverse(d, rng.standard_normal((2, 4)))
+    post = GaussianPosterior(rng.standard_normal(4), d=d, v=v, logdet=logdet)
+    fit = FitResult(method=Method.LAPLACE, posterior=post, inclusion_prob=np.ones(4))
+    fields = {}
+    parity._record(fields, "case", "result", fit)
+    assert {name for name in fields if name.startswith("result.posterior")} == {
+        "result.posterior.mean", "result.posterior.covariance"}
+    assert fields["result.posterior.mean"]["case"] == post.mean.tolist()
+    sigma = np.diag(1.0 / d) - v.T @ v
+    assert fields["result.posterior.covariance"]["case"] == sigma.ravel().tolist()
+    assert fields["result.interval_posterior"]["case"] == "None"

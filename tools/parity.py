@@ -47,8 +47,13 @@ import numpy as np
 
 
 def _record(fields, case, prefix, obj):
-    """Store each leaf of nested dicts and dataclasses as fields[dotted path][case]."""
-    if dataclasses.is_dataclass(obj):
+    """Store each leaf of nested dicts and dataclasses as fields[dotted path][case];
+    a Gaussian posterior as its mean and covariance, whether or not it is a
+    dataclass, so manifests of either kind of tree compare."""
+    from vbpoisson import GaussianPosterior
+    if isinstance(obj, GaussianPosterior):
+        obj = {"mean": obj.mean, "covariance": obj.covariance}
+    elif dataclasses.is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -118,7 +123,7 @@ _PREDICT_GRID = (
 
 def _predict_grid(fields):
     """Record each grid row's `predict` fields, or the class of the error it raises."""
-    from vbpoisson.core import FitResult, GaussianPosterior, Method
+    from vbpoisson import FitResult, GaussianPosterior, Method
     from vbpoisson.errors import VbPoissonError
     from vbpoisson.predict import predictive_distribution
     for i, (m, s2, level) in enumerate(_PREDICT_GRID):
