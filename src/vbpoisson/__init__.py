@@ -33,6 +33,7 @@ from .predict import (
     hpd_coefficients,
     ppmf_gaussian,
     predictive_distribution,
+    predictive_modes,
 )
 from .sparsify import SparseCoefficients, poisson_loglik, threshold_bernoulli, threshold_hard
 from .spike_slab import fit_cs
@@ -57,6 +58,7 @@ __all__ = [
     "PredictiveDistribution",
     "ppmf_gaussian",
     "predictive_distribution",
+    "predictive_modes",
     "hpd_coefficients",
     "ScenarioConfig",
     "MetricsReport",

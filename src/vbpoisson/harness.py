@@ -8,11 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernoulli import fit_bernoulli
-from .core import Dataset, FitResult, Hyperparameters, Method, rho2_for_inclusion
+from .core import Dataset, Hyperparameters, Method, rho2_for_inclusion
 from .errors import GenerationError, VbPoissonError
 from .laplace import fit_laplace
 from .likelihood import XI_OVERFLOW
-from .predict import hpd_coefficients, predictive_distribution
+from .predict import hpd_coefficients, predictive_modes
 from .sparsify import sparsify
 from .spike_slab import fit_cs
 
@@ -196,12 +196,6 @@ FITTERS = {
 }
 
 
-def _predict_counts(rows: np.ndarray, fit: FitResult, sparse) -> np.ndarray:
-    return np.array(
-        [predictive_distribution(row, fit, sparse).mode for row in rows], dtype=float
-    )
-
-
 def run_study(
     config: ScenarioConfig, methods: tuple = (Method.LAPLACE, Method.CS, Method.BERNOULLI)
 ) -> StudyResult:
@@ -221,8 +215,8 @@ def run_study(
             try:
                 fit = FITTERS[m](train, hp)
                 sparse = sparsify(fit, train)
-                yhat_tr = _predict_counts(train.design, fit, sparse)
-                yhat_ts = _predict_counts(test.design, fit, sparse)
+                yhat_tr = predictive_modes(train.design, fit, sparse)
+                yhat_ts = predictive_modes(test.design, fit, sparse)
                 lo_hi = hpd_coefficients(fit.interval_posterior or fit.posterior, 0.95)
                 covered = (lo_hi[:, 0] <= beta_true) & (beta_true <= lo_hi[:, 1])
             except VbPoissonError as exc:

@@ -70,40 +70,59 @@ def _gig_half(a: float, b: np.ndarray, normal: np.ndarray, uniform: np.ndarray):
     return np.where(uniform <= q / (1.0 + q), q, 1.0 / q) / mean
 
 
-def _flip_sweep(x, y, beta, gamma, eta, logit, u):
-    """One Gibbs pass over the 0/1 inclusion mask of slopes 1..p-1, in order.
-
-    Slope j is on with probability expit(ll_on - ll_off + logit[j-1]), and
-    stays or flips as u[j-1] falls below that; `eta` = x @ (gamma * beta) is
-    inside the guard. Flipping slope j steps eta by s_j = ±beta_j x_j and the
-    log-likelihood by d_j = y·s_j - e^eta·expm1(s_j), so one matrix-vector
-    product scores every remaining flip; after an accepted flip only the
-    slopes past it are scored again. While max(eta, 0) + max(s) may pass
-    XI_OVERFLOW, where that product could overflow, the flips are scored from
-    their flipped eta instead, -inf past the guard. Returns the mask and
-    whether it moved.
-    """
-    gamma, flipped, j = gamma.copy(), False, 1
-    # slopes j.. keep their starting state until the pass that reaches them
+def _flip_setup(x, y, beta, gamma, eta, logit):
+    """A mask sweep's work before its first flip, which depends only on its
+    starting (beta, gamma, eta): the mask's states, the flip signs, the steps
+    s_j = ±beta_j x_j with y·s_j, expm1(s_j) and the largest step, and the
+    first pass's on-probabilities. Sweeps from the same state can share it."""
     on, sign = gamma[1:] > 0.5, 1.0 - 2.0 * gamma[1:]
     step = x[:, 1:] * (sign * beta[1:])
     y_step, reach = y @ step, float(step.max(initial=0.0))
     growth = np.expm1(np.minimum(step, XI_OVERFLOW))
-    while j < gamma.size:  # the first pass, or one after a flip
-        e, top, r = np.exp(eta), float(eta.max(initial=0.0)), slice(j - 1, None)
-        if top + reach <= XI_OVERFLOW:
-            d = y_step[r] - e @ growth[:, r]
-        else:
-            flip = eta[:, None] + step[:, r]
-            d = y_step[r] - (np.exp(np.minimum(flip, XI_OVERFLOW)) - e[:, None]).sum(axis=0)
-            d[(flip > XI_OVERFLOW).any(axis=0)] = -np.inf
-        prob = expit(sign[r] * d + logit[r])
-        moved = ((u[r] < prob) != on[r]).nonzero()[0]
-        if moved.size == 0:
-            break
+    setup = (on, sign, step, y_step, reach, growth)
+    return setup + (_flip_probs(setup, eta, 1, logit),)
+
+
+def _flip_probs(setup, eta, j, logit):
+    """The on-probabilities of slopes j.. at eta, each scored by its flip.
+
+    Flipping slope j steps the log-likelihood by d_j = y·s_j - e^eta·expm1(s_j),
+    so one matrix-vector product scores every flip. While max(eta, 0) + max(s)
+    may pass XI_OVERFLOW, where that product could overflow, the flips are
+    scored from their flipped eta instead, -inf past the guard.
+    """
+    _, sign, step, y_step, reach, growth = setup[:6]
+    e, top, r = np.exp(eta), float(eta.max(initial=0.0)), slice(j - 1, None)
+    if top + reach <= XI_OVERFLOW:
+        d = y_step[r] - e @ growth[:, r]
+    else:
+        flip = eta[:, None] + step[:, r]
+        d = y_step[r] - (np.exp(np.minimum(flip, XI_OVERFLOW)) - e[:, None]).sum(axis=0)
+        d[(flip > XI_OVERFLOW).any(axis=0)] = -np.inf
+    return expit(sign[r] * d + logit[r])
+
+
+def _flip_sweep(x, y, beta, gamma, eta, logit, u, setup=None):
+    """One Gibbs pass over the 0/1 inclusion mask of slopes 1..p-1, in order.
+
+    Slope j is on with probability expit(ll_on - ll_off + logit[j-1]), and
+    stays or flips as u[j-1] falls below that; `eta` = x @ (gamma * beta) is
+    inside the guard. Each pass scores every remaining flip at once; after an
+    accepted flip only the slopes past it are scored again. `setup` is
+    `_flip_setup` of this (beta, gamma, eta), if the caller kept one. Returns
+    the mask and whether it moved.
+    """
+    setup = setup or _flip_setup(x, y, beta, gamma, eta, logit)
+    on, step, prob = setup[0], setup[2], setup[6]
+    gamma, flipped, j = gamma.copy(), False, 1
+    # slopes j.. keep their starting state until the pass that reaches them
+    while (moved := ((u[j - 1:] < prob) != on[j - 1:]).nonzero()[0]).size:
         k = moved[0]
         gamma[j + k] = 1.0 - gamma[j + k]
         eta, flipped, j = eta + step[:, j - 1 + k], True, j + k + 1
+        if j == gamma.size:
+            break
+        prob = _flip_probs(setup, eta, j, logit)
     return gamma, flipped
 
 
@@ -190,11 +209,20 @@ def sample(
         def variates(n):
             return rng.standard_gamma(hp.a_gamma + 0.5, (n, p)), rng.random((n, p - 1))
 
+        setup, setup_beta = None, None
+
         def gibbs(v, i):
+            nonlocal setup, setup_beta
             alpha = v[0][i] / (hp.b_gamma + 0.5 * beta**2)
             # β has not moved since the loop last evaluated it, so the cached
-            # eta is one side of each flip; only the other side is new
-            gamma[:], flipped = _flip_sweep(x, y, beta, gamma, cur_eta, logit, v[1][i])
+            # eta is one side of each flip; only the other side is new. The
+            # last sweep's setup holds until a proposal is accepted (a new β
+            # object) or a sweep moves the mask
+            if setup_beta is not beta:
+                setup, setup_beta = _flip_setup(x, y, beta, gamma, cur_eta, logit), beta
+            gamma[:], flipped = _flip_sweep(x, y, beta, gamma, cur_eta, logit, v[1][i], setup)
+            if flipped:
+                setup_beta = None
             return alpha, flipped
 
         def snapshot():

@@ -1,4 +1,4 @@
-"""Posterior predictive mass functions and HPD summaries.
+"""Posterior predictive mass functions, HPD summaries and modes.
 
 A new count mixes a Poisson pmf over a log-normal rate: with u = log(rate),
 p(y0) = (1/y0!) * integral of exp(-e^u) e^(u*y0) N(u; m, s^2) du, where m and
@@ -46,8 +46,9 @@ def ppmf_gaussian(x0: np.ndarray, posterior: GaussianPosterior, y0: int) -> floa
     return float(_pmf_batch(m, s2, np.array([y0]))[0])
 
 
-def _pmf_batch(m: float, s2: float, ys: np.ndarray) -> np.ndarray:
-    """The predictive pmf at many counts, each by its own mode-centred rule.
+def _pmf_batch(m, s2, ys: np.ndarray, log: bool = False) -> np.ndarray:
+    """The predictive pmf (its log with `log`) at many counts, each by its own
+    mode-centred rule; m and s2 are floats, or arrays with one value per count.
 
     For a count y the log integrand has its mode at u* = m + gap, with
     gap = s^2 y - W(s^2 e^(m + s^2 y)), and with c = e^u* it lies
@@ -56,40 +57,53 @@ def _pmf_batch(m: float, s2: float, ys: np.ndarray) -> np.ndarray:
     Gauss-Legendre rule. The integrand is summed in this peak-relative form:
     the plain y u - e^u - (u - m)^2/(2 s^2) cancels badly when s^2 is tiny.
     """
-    if s2 < _DEGENERATE_VAR:
-        return np.exp(poisson_logpmf(ys.astype(float), m))
+    ys = np.asarray(ys, dtype=float)
+    per_count = np.ndim(s2) > 0
+    flat = s2 < _DEGENERATE_VAR
+    if not per_count and flat:
+        logpmf = poisson_logpmf(ys, m)
+        return logpmf if log else np.exp(logpmf)
     out = np.empty(ys.shape[0])
+    if per_count and flat.any():  # those laws take the Poisson pmf, the rest the rule
+        out[flat] = _pmf_batch(m[flat], 0.0, ys[flat], log)
+        out[~flat] = _pmf_batch(m[~flat], s2[~flat], ys[~flat], log)
+        return out
     # keep the count-by-node matrix bounded so long supports stay cheap
     block = 2**22 // (2 * _GL_NODES.size)
     for start in range(0, ys.shape[0], block):
-        y = ys[start : start + block].astype(float)
+        at = slice(start, start + block)
+        y = ys[at]
+        mb, sb = (m[at], s2[at]) if per_count else (m, s2)
         # wrightomega(z) = W(e^z), which does not overflow
-        gap = s2 * y - wrightomega(np.log(s2) + m + s2 * y)
-        c = np.exp(m + gap)
+        gap = sb * y - wrightomega(np.log(sb) + mb + sb * y)
+        c = np.exp(mb + gap)
         # zero at the exact mode; the linear term absorbs the rounding of u*
-        slope = y - c - gap / s2
+        slope = y - c - gap / sb
         peak = (
-            y * (m + gap) - c - 0.5 * gap**2 / s2
-            - log_gamma(y + 1.0) - 0.5 * np.log(2.0 * np.pi * s2)
+            y * (mb + gap) - c - 0.5 * gap**2 / sb
+            - log_gamma(y + 1.0) - 0.5 * np.log(2.0 * np.pi * sb)
         )
         # drop is convex in d, so Newton started beyond the root stays beyond it
         ends = np.column_stack([
-            np.full_like(y, -np.sqrt(2.0 * _WINDOW_NATS * s2)),
-            np.minimum(np.sqrt(2.0 * _WINDOW_NATS / (1.0 / s2 + c)),
+            np.full_like(y, -np.sqrt(2.0 * _WINDOW_NATS * sb)),
+            np.minimum(np.sqrt(2.0 * _WINDOW_NATS / (1.0 / sb + c)),
                        np.log1p(2.0 * _WINDOW_NATS / c) + 1.0),
         ])
-        c = c[:, None]
+        c, sb = c[:, None], sb[:, None] if per_count else sb
         for _ in range(4):
-            ends -= (_drop(ends, s2, c) - _WINDOW_NATS) / (ends / s2 + c * np.expm1(ends))
+            ends -= (_drop(ends, sb, c) - _WINDOW_NATS) / (ends / sb + c * np.expm1(ends))
         # rows: counts; columns: the 2 x 32 nodes of [ends[0], 0] and [0, ends[1]]
         d = (ends[:, :, None] * _GL_NODES).reshape(y.shape[0], -1)
         w = (np.abs(ends)[:, :, None] * _GL_WEIGHTS).reshape(y.shape[0], -1)
-        vals = np.exp(peak[:, None] + slope[:, None] * d - _drop(d, s2, c))
-        out[start : start + y.shape[0]] = np.einsum("ij,ij->i", w, vals)
+        # the log form leaves the peak out of the sum (adding 0.0 is exact)
+        lead = np.zeros_like(peak) if log else peak
+        vals = np.exp(lead[:, None] + slope[:, None] * d - _drop(d, sb, c))
+        total = np.einsum("ij,ij->i", w, vals)
+        out[at] = peak + np.log(total) if log else total
     return out
 
 
-def _drop(d: np.ndarray, s2: float, c: np.ndarray) -> np.ndarray:
+def _drop(d: np.ndarray, s2: np.ndarray, c: np.ndarray) -> np.ndarray:
     """How far the log integrand lies below its peak at offset d from the mode."""
     return 0.5 * d**2 / s2 + c * (np.expm1(d) - d)
 
@@ -169,6 +183,45 @@ def predictive_distribution(
         tail_mass=max(0.0, 1.0 - total),
         mean=float(np.exp(m + 0.5 * s2)),
     )
+
+
+def predictive_modes(
+    rows: np.ndarray, fit: FitResult, sparse: SparseCoefficients | None = None
+) -> np.ndarray:
+    """The mode of each row's predictive pmf, found without enumerating its support.
+
+    With u ~ N(m, s^2) the log rate, p(y + 1) / p(y) = E[e^u | y] / (y + 1), and
+    E[e^u | y] = y - (E[u | y] - m) / s^2 since the score of u | y has mean 0.
+    E[u | y] rises with y, so p(y + 1) <= p(y) fails left of the mode and holds
+    from it on (the pmf is unimodal, Holgate 1970). u | y is 1/s^2-strongly
+    log-concave, so E[e^u | y] <= e^(E[u | y] + s^2/2) and the test holds at
+    every y >= e^(m - s^2/2) - 1: the mode lies in [0, ceil(e^(m - s^2/2))].
+    One bisection runs on that bracket for all rows in lock-step, testing the
+    pmf's own values, so ties resolve as argmax does; where both underflow to 0
+    it compares their logs. A row whose mean overflows a float, or whose
+    bracket is not a count below 2^53, raises NumericalError.
+    """
+    xm = rows if sparse is None else rows * sparse.p_binary
+    m = xm @ fit.posterior.mean
+    s2 = np.einsum("ij,ij->i", xm @ fit.posterior.covariance, xm)
+    if np.any(m + 0.5 * s2 > np.log(np.finfo(float).max)):
+        raise NumericalError("predictive mean e^(m + s^2/2) overflows a float")
+    top = np.ceil(np.exp(m - 0.5 * s2))
+    if not np.all(top < 2.0**53):
+        raise NumericalError("predictive mode bracket e^(m - s^2/2) is not a count below 2^53")
+    lo, hi = np.zeros(m.shape[0], dtype=np.int64), top.astype(np.int64)
+    while (live := np.flatnonzero(lo < hi)).size:
+        mid = (lo[live] + hi[live]) // 2
+        # the counts mid of every live row, then each row's mid + 1
+        ys, ms, vs = np.concatenate([mid, mid + 1]), np.tile(m[live], 2), np.tile(s2[live], 2)
+        p = _pmf_batch(ms, vs, ys).reshape(2, -1)
+        falls = p[1] <= p[0]
+        if (both := np.tile((p[0] == 0.0) & (p[1] == 0.0), 2)).any():
+            lp = _pmf_batch(ms[both], vs[both], ys[both], log=True).reshape(2, -1)
+            falls[both[: mid.size]] = lp[1] <= lp[0]
+        hi[live] = np.where(falls, mid, hi[live])
+        lo[live] = np.where(falls, lo[live], mid + 1)
+    return lo
 
 
 def hpd_coefficients(posterior: GaussianPosterior, level: float = 0.95) -> np.ndarray:

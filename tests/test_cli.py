@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit codes."""
 
+import csv
 import dataclasses
 import json
 
@@ -437,6 +438,18 @@ def test_simulate_is_deterministic(tmp_path):
         assert code == EXIT_OK
         outs.append(open(out, "rb").read())
     assert outs[0] == outs[1]
+
+
+def test_a_replication_with_a_count_past_the_enumeration_cap_does_not_fail(tmp_path):
+    # training row 29 of this replication has y = 656,033, near the 10^6-count
+    # cap that per-row enumeration of the predictive pmf stops at
+    out = str(tmp_path / "raw.csv")
+    code = cli(["simulate", "--scenario", "low", "--replications", "1",
+                "--seed", "107502001", "--out", out])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(open(out, encoding="utf-8")))
+    assert sorted(r["method"] for r in rows) == ["bernoulli", "cs", "laplace"]
+    assert all(r["failed"] == "False" and r["error"] == "" for r in rows)
 
 
 def test_simulate_custom_requires_config(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vbpoisson import harness
-from vbpoisson.core import Method
+from vbpoisson.core import Hyperparameters, Method, rho2_for_inclusion
 from vbpoisson.errors import NumericalError
 from vbpoisson.harness import (
     HIGH_DIM,
@@ -16,6 +16,8 @@ from vbpoisson.harness import (
     metric_selection,
     run_study,
 )
+from vbpoisson.predict import _pmf_batch, predictive_modes
+from vbpoisson.sparsify import sparsify
 
 
 def test_builtin_scenarios_are_consistent():
@@ -153,3 +155,20 @@ def test_run_study_is_deterministic():
     np.testing.assert_array_equal(
         a.reports["laplace"].coverage, b.reports["laplace"].coverage
     )
+
+
+@pytest.mark.parametrize("method", [Method.LAPLACE, Method.CS])
+def test_a_mode_near_650_thousand_is_the_local_argmax_of_its_pmf(method):
+    # the `low` replication that `simulate --seed 107502001` runs first
+    train, _test, beta = generate(LOW_DIM, np.random.default_rng([107502001, 0]))
+    assert train.response[29] == 656033
+    hp = Hyperparameters(rho2=rho2_for_inclusion(np.count_nonzero(beta) / LOW_DIM.p))
+    fit = harness.FITTERS[method](train, hp)
+    sparse = sparsify(fit, train)
+    mode = int(predictive_modes(train.design, fit, sparse)[29])
+    xm = train.design[29] * sparse.p_binary
+    m, s2 = xm @ fit.posterior.mean, xm @ fit.posterior.covariance @ xm
+    ys = np.arange(mode - 2000, mode + 2001)
+    # per count the pmf moves less than its quadrature noise here, so the two
+    # may differ by a few counts
+    assert abs(mode - ys[np.argmax(_pmf_batch(m, s2, ys))]) <= 1e-4 * mode

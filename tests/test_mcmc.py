@@ -208,10 +208,10 @@ def test_bernoulli_sweep_starts_from_the_cached_likelihood(monkeypatch):
     calls = _count_likelihood_calls(monkeypatch)
     moves = []
 
-    def checked(x, y, beta, gamma, eta, logit, u):
+    def checked(x, y, beta, gamma, eta, logit, u, setup=None):
         np.testing.assert_array_equal(eta, x @ (gamma * beta))
         before = len(calls)
-        out = sweep(x, y, beta, gamma, eta, logit, u)
+        out = sweep(x, y, beta, gamma, eta, logit, u, setup)
         assert len(calls) == before  # the flips are scored by their differences
         moves.append(out[1])
         return out
@@ -228,8 +228,9 @@ def _loglik(eta, y):
     return -np.inf if np.any(eta > XI_OVERFLOW) else float(y @ eta - np.sum(np.exp(eta)))
 
 
-def _sequential_flip_sweep(x, y, beta, gamma, eta, logit, u):
-    """The mask sweep one slope at a time: score slope j's flip, decide it, move on."""
+def _sequential_flip_sweep(x, y, beta, gamma, eta, logit, u, setup=None):
+    """The mask sweep one slope at a time: score slope j's flip, decide it, move on;
+    a setup kept by the caller is ignored."""
     gamma, flipped, ll = gamma.copy(), False, _loglik(eta, y)
     for j in range(1, gamma.size):
         eta_flip = eta + (1.0 - 2.0 * gamma[j]) * beta[j] * x[:, j]
@@ -338,6 +339,32 @@ def test_the_bernoulli_chain_is_the_sequential_sweeps_chain(monkeypatch):
     assert chain.acceptance_rate == ref.acceptance_rate
     # the masks moved, so the two sweeps had decisions to agree on
     assert np.ptp(chain.draws[:, LOW_DIM.p:], axis=0).any()
+
+
+def test_a_sweep_setup_is_rebuilt_only_when_beta_or_the_mask_moved(monkeypatch):
+    train, _, beta = generate(LOW_DIM, np.random.default_rng([2024, 0]))
+    hp = Hyperparameters(rho2=rho2_for_inclusion(np.count_nonzero(beta) / LOW_DIM.p))
+    build, sweep = mcmc._flip_setup, mcmc._flip_sweep
+    builds, states = [], []
+
+    def counted(*args):
+        builds.append(1)
+        return build(*args)
+
+    def recorded(x, y, beta, gamma, eta, logit, u, setup=None):
+        states.append(beta.tobytes() + gamma.tobytes())
+        # a kept setup is the one this state would build
+        for kept, fresh in zip(setup, build(x, y, beta, gamma, eta, logit)):
+            np.testing.assert_array_equal(kept, fresh)
+        return sweep(x, y, beta, gamma, eta, logit, u, setup)
+
+    monkeypatch.setattr(mcmc, "_flip_setup", counted)
+    monkeypatch.setattr(mcmc, "_flip_sweep", recorded)
+    sample(Method.BERNOULLI, train, hp, McmcConfig(iterations=600, burn_in=200, seed=3))
+    changed = sum(a != b for a, b in zip([None] + states, states))
+    assert len(states) == 600 and len(builds) == changed, (len(builds), changed)
+    # some sweeps started where the last one did, so a setup was kept
+    assert changed < len(states)
 
 
 def _exact_flip_change(eta, step, y):

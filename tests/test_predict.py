@@ -23,6 +23,7 @@ from vbpoisson.predict import (
     hpd_coefficients,
     ppmf_gaussian,
     predictive_distribution,
+    predictive_modes,
 )
 from vbpoisson.sparsify import SparseCoefficients
 
@@ -294,6 +295,85 @@ def test_restricted_prediction_uses_the_sparse_mask():
     masked_fit = _fit([0.5, 2.0], [[0.1, 0.0], [0.0, 0.1]])
     direct = predictive_distribution(np.array([1.0, 0.0]), masked_fit)
     np.testing.assert_allclose(restricted.pmf, direct.pmf, rtol=1e-12)
+
+
+def _mode_rows(laws, masked):
+    """Unit rows reading one (m, s^2) each from a diagonal fit; with `masked`,
+    rows may also read a last coefficient that the sparse mask drops."""
+    k = len(laws)
+    fit = _fit([m for m, _ in laws] + [3.0], np.diag([s2 for _, s2 in laws] + [5.0]))
+    rows = np.hstack([np.eye(k), np.arange(k)[:, None] % 2.0 if masked else np.zeros((k, 1))])
+    keep = np.append(np.ones(k), 0.0)
+    sparse = SparseCoefficients(beta_hat=keep, support=tuple(range(k)), kappa=1.0, aic=0.0,
+                                df=k, p_binary=keep) if masked else None
+    return rows, fit, sparse
+
+
+def _argmax_modes(rows, fit, sparse):
+    """Reference: each row's argmax over its own enumerated pmf; None where refused."""
+    out = []
+    for row in rows:
+        try:
+            out.append(int(np.argmax(predictive_distribution(row, fit, sparse).pmf)))
+        except TruncationError:
+            out.append(None)
+    return out
+
+
+def _law_under(log_k, s2_lo, s2_hi):
+    """(m, s^2) draws whose enumeration runs to about e^log_k counts at most."""
+    return st.floats(s2_lo, s2_hi).flatmap(
+        lambda s2: st.tuples(st.floats(-30.0, log_k - 5.2 * np.sqrt(s2)), st.just(s2)))
+
+
+_RATE_LAWS = st.one_of(
+    # e^m an integer at s^2 below the degenerate limit: a Poisson tie at e^m - 1, e^m
+    st.tuples(st.integers(1, 60).map(lambda k: float(np.log(k))),
+              st.one_of(st.just(0.0), st.floats(1e-16, 9.9e-13))),
+    _law_under(np.log(5000.0), 1.0, 15.0),
+    _law_under(np.log(5000.0), 1e-12, 1.0),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(laws=st.lists(_RATE_LAWS, min_size=1, max_size=4), masked=st.booleans())
+def test_batched_modes_are_the_argmax_of_each_rows_own_pmf(laws, masked):
+    rows, fit, sparse = _mode_rows(laws, masked)
+    got = predictive_modes(rows, fit, sparse).tolist()
+    ref = _argmax_modes(rows, fit, sparse)
+    assert [g for g, r in zip(got, ref) if r is not None] == [r for r in ref if r is not None]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(laws=st.lists(
+    st.tuples(st.floats(np.log(1e3), np.log(5e5)), st.one_of(st.just(0.0), st.floats(1e-9, 1e-3))),
+    min_size=1, max_size=2,
+))
+def test_batched_modes_match_argmax_where_the_pmf_underflows_left_of_the_mode(laws):
+    # from e^m of about 750 on, p(0) underflows to 0, and so do many counts after it
+    rows, fit, sparse = _mode_rows(laws, False)
+    assert predictive_modes(rows, fit, sparse).tolist() == _argmax_modes(rows, fit, sparse)
+
+
+def test_a_mode_past_a_run_of_underflowed_counts_is_found_through_their_logs():
+    # every count below about 6.6e4 has p(y) exactly 0, so a plain 0 <= 0 test at
+    # the first midpoint, 5e4, would send the search to the left of the mode
+    m, s2 = np.log(1e5), 1e-4
+    assert _pmf_batch(m, s2, np.array([50000, 50001])).tolist() == [0.0, 0.0]
+    mode = int(predictive_modes(np.ones((1, 1)), _fit([m], [[s2]]))[0])
+    ys = np.arange(mode - 2000, mode + 2001)
+    assert ys[np.argmax(_pmf_batch(m, s2, ys))] == mode
+
+
+def test_batched_modes_refuse_an_overflowing_mean_and_a_bracket_past_2_to_the_53():
+    with pytest.raises(NumericalError, match="overflows"):
+        predictive_modes(np.ones((2, 1)), _fit([-191.25], [[1849.0]]))
+    with pytest.raises(NumericalError, match="2\\^53"):
+        predictive_modes(np.ones((1, 1)), _fit([40.0], [[0.01]]))
+    # a count past the enumeration cap is no reason to refuse a mode
+    mode = int(predictive_modes(np.ones((1, 1)), _fit([np.log(3e6)], [[0.0]]))[0])
+    ys = np.arange(mode - 2000, mode + 2001)
+    assert ys[np.argmax(_pmf_batch(np.log(3e6), 0.0, ys))] == mode
 
 
 def test_coefficient_hpd_uses_the_gaussian_quantile():
