@@ -33,6 +33,7 @@ from .predict import (
     hpd_coefficients,
     ppmf_gaussian,
     predictive_distribution,
+    predictive_distributions,
     predictive_modes,
 )
 from .sparsify import SparseCoefficients, poisson_loglik, threshold_bernoulli, threshold_hard
@@ -58,6 +59,7 @@ __all__ = [
     "PredictiveDistribution",
     "ppmf_gaussian",
     "predictive_distribution",
+    "predictive_distributions",
     "predictive_modes",
     "hpd_coefficients",
     "ScenarioConfig",

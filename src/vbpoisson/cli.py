@@ -14,7 +14,7 @@ from . import io as _io
 from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method, validate
 from .errors import VbPoissonError
 from .harness import FITTERS, HIGH_DIM, LOW_DIM, ScenarioConfig, run_study
-from .predict import hpd_coefficients, predictive_distribution
+from .predict import hpd_coefficients, predictive_distributions
 from .sparsify import sparsify
 
 EXIT_OK = 0
@@ -160,9 +160,8 @@ def _cmd_predict(args) -> int:
     if bad.size:
         print(f"error: non-finite covariate at data row {bad[0] + 1}", file=sys.stderr)
         return EXIT_NUMERICAL
-    dists = (predictive_distribution(row, fit, sparse, level=args.level) for row in covs)
     rows = [{"mode": d.mode, "mean": d.mean, "tail_mass": d.tail_mass, "hpd_set": d.hpd_set}
-            for d in dists]
+            for d in predictive_distributions(covs, fit, sparse, level=args.level)]
     _io.save_bundle({"level": args.level, "predictions": rows}, args.out)
     print(f"predictions for {len(rows)} rows written to {args.out}")
     return EXIT_OK

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -32,7 +33,8 @@ def load_csv(path: str, response_column: str | None):
     (Dataset, column_names) when a response column is named, else
     (matrix, column_names) of the covariates alone.
     """
-    with io.StringIO(_read_text(path), newline="") as fh:
+    text = _read_text(path)
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -42,24 +44,37 @@ def load_csv(path: str, response_column: str | None):
         repeated = [h for h, count in Counter(header).items() if count > 1]
         if repeated:
             raise ParseError(f"{path}: repeated column {', '.join(map(repr, repeated))}")
-        rows = []
-        for r, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            vals = []
-            for name, cell in zip(header, row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
+        body = fh.tell()  # where np.loadtxt refuses the body, float() reads it cell by cell
+        try:
+            with warnings.catch_warnings():  # an empty body is refused below, not warned of
+                warnings.simplefilter("ignore")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        # np.loadtxt strips the separators \x1c-\x1f around a number; float() refuses them
+        separators = any(c in text for c in "\x1c\x1d\x1e\x1f")
+        if data is None or data.shape[1] != len(header) or separators:
+            fh.seek(body)
+            rows = []
+            for r, row in enumerate(reader, start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
                     raise ParseError(
-                        f"{path}: could not parse {cell!r} at row {r}, column {name!r}"
-                    ) from None
-            rows.append(vals)
-    if not rows:
+                        f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
+                    )
+                vals = []
+                for name, cell in zip(header, row):
+                    try:
+                        vals.append(float(cell))
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: could not parse {cell!r} at row {r}, column {name!r}"
+                        ) from None
+                rows.append(vals)
+            data = np.array(rows)
+    if not data.size:
         raise ParseError(f"{path}: no data rows")
-    data = np.array(rows)
     if response_column is None:
         return np.column_stack([np.ones(data.shape[0]), data]), ["(intercept)"] + header
     if response_column not in header:
@@ -89,8 +104,8 @@ def load_config(path: str) -> dict:
 
 
 def _read_text(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 raise ParseError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The file's text less a leading BOM; bytes that are not UTF-8 raise ParseError naming it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

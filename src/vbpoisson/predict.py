@@ -29,6 +29,8 @@ _WINDOW_NATS = 45.0
 _GL_NODES, _GL_WEIGHTS = leggauss(32)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 _MASS_TARGET = 1.0 - 1e-6
+# counts per pass of the count-by-node matrix, so long supports stay cheap
+_BLOCK = 2**22 // (2 * _GL_NODES.size)
 _ENUM_CAP = 10**6
 
 
@@ -68,10 +70,8 @@ def _pmf_batch(m, s2, ys: np.ndarray, log: bool = False) -> np.ndarray:
         out[flat] = _pmf_batch(m[flat], 0.0, ys[flat], log)
         out[~flat] = _pmf_batch(m[~flat], s2[~flat], ys[~flat], log)
         return out
-    # keep the count-by-node matrix bounded so long supports stay cheap
-    block = 2**22 // (2 * _GL_NODES.size)
-    for start in range(0, ys.shape[0], block):
-        at = slice(start, start + block)
+    for start in range(0, ys.shape[0], _BLOCK):
+        at = slice(start, start + _BLOCK)
         y = ys[at]
         mb, sb = (m[at], s2[at]) if per_count else (m, s2)
         # wrightomega(z) = W(e^z), which does not overflow
@@ -136,53 +136,75 @@ def _hpd_set(pmf: np.ndarray, level: float) -> tuple:
 
 
 def predictive_distribution(
-    x0: np.ndarray,
-    fit: FitResult,
-    sparse: SparseCoefficients | None = None,
-    level: float = 0.95,
+    x0: np.ndarray, fit: FitResult, sparse: SparseCoefficients | None = None, level: float = 0.95
 ) -> PredictiveDistribution:
-    """The predictive pmf on counts 0..K, with K sized from the row's own m and s^2.
+    """The predictive pmf of the one covariate row x0; see predictive_distributions."""
+    return next(predictive_distributions(np.reshape(x0, (1, -1)), fit, sparse, level))
+
+
+def predictive_distributions(
+    rows: np.ndarray, fit: FitResult, sparse: SparseCoefficients | None = None, level: float = 0.95
+):
+    """Each row's predictive pmf on counts 0..K, K sized from the row's own m and
+    s^2, in row order; the level and the rows' shape are checked on the call.
 
     With `sparse` given, the coefficients it zeroes leave the linear predictor.
     A row whose pmf cannot reach _MASS_TARGET within _ENUM_CAP counts raises
-    TruncationError, and one whose mean overflows a float NumericalError.
+    TruncationError, and one whose mean overflows a float NumericalError, once
+    the rows before it are yielded. One _pmf_batch call enumerates each group
+    of rows with at most _BLOCK counts in all, or one longer row.
     """
     _check_level(level)
-    x0 = np.asarray(x0, dtype=float)
-    xm = x0 if sparse is None else x0 * sparse.p_binary
-    m = float(xm @ fit.posterior.mean)
-    s2 = float(xm @ fit.posterior.covariance @ xm)
-    s = np.sqrt(s2) if s2 >= _DEGENERATE_VAR else 0.0
-    # P(y >= cap) is at least P(rate >= 2 cap) (1 - e^(-cap/4)), and at least
-    # P(rate >= e^m) P(Pois(e^m) >= cap) with P(rate >= e^m) >= 1/2; a row where
-    # either bound passes 1 - _MASS_TARGET can never reach the target, so it is
-    # refused before any count is evaluated
-    log_2cap = np.log(2.0 * _ENUM_CAP)
-    past_2cap = ndtr((m - log_2cap) / s) if s > 0.0 else m >= log_2cap
-    if (past_2cap > 1.0 - _MASS_TARGET
-            or 0.5 * pdtrc(_ENUM_CAP - 1, np.exp(m)) > 1.0 - _MASS_TARGET):
-        raise TruncationError("predictive enumeration cap reached", accumulated_mass=0.0)
-    if m + 0.5 * s2 > np.log(np.finfo(float).max):
-        raise NumericalError("predictive mean e^(m + s^2/2) overflows a float")
-    # with T = _MASS_TARGET, K is the Poisson upper quantile at 0.09 (1 - T) of
-    # the rate law's upper quantile at 0.81 (1 - T); a Poisson tail grows with
-    # its rate, so by the union bound P(y > K) <= 0.9 (1 - T). fmin also caps
-    # the nan that pdtrik returns at an overflowed rate
-    rate = np.exp(m - s * ndtri(0.81 * (1.0 - _MASS_TARGET)))
-    k = np.ceil(pdtrik(1.0 - 0.09 * (1.0 - _MASS_TARGET), rate))
-    support_max = int(np.fmin(k, _ENUM_CAP - 1))
-    pmf = _pmf_batch(m, s2, np.arange(support_max + 1))
-    total = float(pmf.sum())
-    if total < _MASS_TARGET:
-        raise TruncationError("predictive enumeration cap reached", accumulated_mass=total)
-    return PredictiveDistribution(
-        support_max=support_max,
-        pmf=pmf,
-        mode=int(np.argmax(pmf)),
-        hpd_set=_hpd_set(pmf, level),
-        tail_mass=max(0.0, 1.0 - total),
-        mean=float(np.exp(m + 0.5 * s2)),
-    )
+    rows, post = np.asarray(rows, dtype=float), fit.posterior
+    if rows.ndim != 2 or rows.shape[1] != post.mean.shape[0]:
+        raise ValueError(f"rows must have shape (n, {post.mean.shape[0]}), not {rows.shape}")
+    # row by row, so that each row's m and s^2 round as a lone row's do
+    xms = (row if sparse is None else row * sparse.p_binary for row in rows)
+    laws = [(float(xm @ post.mean), float(xm @ post.covariance @ xm)) for xm in xms]
+    m, s2 = np.array(laws).reshape(-1, 2).T
+    # what overflows, or divides by s = 0, is on refused rows only or not used
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.where(s2 >= _DEGENERATE_VAR, np.sqrt(s2), 0.0)
+        # P(y >= cap) is at least P(rate >= 2 cap) (1 - e^(-cap/4)), and at least
+        # P(rate >= e^m) P(Pois(e^m) >= cap) with P(rate >= e^m) >= 1/2; a row where
+        # either bound passes 1 - _MASS_TARGET can never reach the target, so it is
+        # refused before any count is evaluated
+        log_2cap = np.log(2.0 * _ENUM_CAP)
+        past_2cap = np.where(s > 0.0, ndtr((m - log_2cap) / s), m >= log_2cap)
+        refused = ((past_2cap > 1.0 - _MASS_TARGET)
+                   | (0.5 * pdtrc(_ENUM_CAP - 1, np.exp(m)) > 1.0 - _MASS_TARGET))
+        overflows = ~refused & (m + 0.5 * s2 > np.log(np.finfo(float).max))
+        # with T = _MASS_TARGET, K is the Poisson upper quantile at 0.09 (1 - T) of
+        # the rate law's upper quantile at 0.81 (1 - T); a Poisson tail grows with
+        # its rate, so by the union bound P(y > K) <= 0.9 (1 - T). fmin also caps
+        # the nan that pdtrik returns at an overflowed rate
+        rate = np.exp(m - s * ndtri(0.81 * (1.0 - _MASS_TARGET)))
+    k = np.fmin(np.ceil(pdtrik(1.0 - 0.09 * (1.0 - _MASS_TARGET), rate)), _ENUM_CAP - 1)
+    # a refused row, and every row from the first that fails on, gets no counts
+    sizes = np.where(np.cumsum(refused | overflows), 0, k + 1).astype(np.int64)
+    return _summarise(m, s2, sizes, overflows, level)
+
+
+def _summarise(m, s2, sizes, overflows, level):
+    """The rows' PredictiveDistributions, their counts enumerated a group at a time."""
+    ends, lo = np.cumsum(sizes), 0
+    while lo < sizes.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + _BLOCK, side="right")))
+        n = sizes[lo:hi]
+        ys = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # each row's 0..K in turn
+        pmfs = _pmf_batch(np.repeat(m[lo:hi], n), np.repeat(s2[lo:hi], n), ys)
+        for i, pmf in zip(range(lo, hi), np.split(pmfs, np.cumsum(n)[:-1])):
+            if overflows[i]:
+                raise NumericalError("predictive mean e^(m + s^2/2) overflows a float")
+            pmf = pmf.copy()
+            total = float(pmf.sum())  # 0.0 for a refused row
+            if total < _MASS_TARGET:
+                raise TruncationError("predictive enumeration cap reached", accumulated_mass=total)
+            yield PredictiveDistribution(
+                support_max=pmf.size - 1, pmf=pmf, mode=int(np.argmax(pmf)),
+                hpd_set=_hpd_set(pmf, level), tail_mass=max(0.0, 1.0 - total),
+                mean=float(np.exp(m[i] + 0.5 * s2[i])))
+        lo = hi
 
 
 def predictive_modes(

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_an_unwritable_output_path_exits_two_before_any_fit(
         capsys.readouterr()
     for method in Method:
         monkeypatch.setitem(harness.FITTERS, method, refuse)
-    monkeypatch.setattr("vbpoisson.cli.predictive_distribution", refuse)
+    monkeypatch.setattr("vbpoisson.cli.predictive_distributions", refuse)
     args = {
         "fit": {"--method": "laplace", "--data": data_csv, "--response": "y",
                 "--out": str(tmp_path / "o.json")},
@@ -186,6 +187,35 @@ def test_a_file_that_is_not_utf8_exits_two(tmp_path, data_csv, capsys, flag):
     assert cli(argv) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
     assert not (tmp_path / "o.json").exists()
+
+
+def _with_bom(tmp_path, source, name):
+    """A copy of the file at `source` behind the UTF-8 byte-order mark that
+    spreadsheet programs write."""
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+    return str(path)
+
+
+def test_fit_reads_a_csv_that_starts_with_a_byte_order_mark(tmp_path, data_csv):
+    bom = _with_bom(tmp_path, data_csv, "b.csv")
+    for data, out in ((data_csv, "plain.json"), (bom, "bom.json")):
+        assert cli(["fit", "--method", "laplace", "--data", data, "--response", "y",
+                    "--out", str(tmp_path / out)]) == EXIT_OK
+    assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_predict_reads_a_csv_that_starts_with_a_byte_order_mark(tmp_path, data_csv):
+    model = str(tmp_path / "fit.json")
+    assert cli(["fit", "--method", "laplace", "--data", data_csv, "--response", "y",
+                "--out", model]) == EXIT_OK
+    new = tmp_path / "new.csv"
+    new.write_text("x1,x2\r\n0.0,0.0\r\n1.0,-1.0\r\n", encoding="utf-8")
+    bom = _with_bom(tmp_path, new, "b.csv")
+    for data, out in ((str(new), "plain.pred"), (bom, "bom.pred")):
+        assert cli(["predict", "--model", model, "--data", data,
+                    "--out", str(tmp_path / out)]) == EXIT_OK
+    assert (tmp_path / "bom.pred").read_bytes() == (tmp_path / "plain.pred").read_bytes()
 
 
 def test_predict_rejects_a_bundle_of_another_format_version(tmp_path, data_csv, capsys):

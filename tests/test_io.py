@@ -1,6 +1,8 @@
 """File formats: CSV ingestion, config files and result bundles."""
 
 import csv
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,6 +73,60 @@ def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, load):
     path.write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
     with pytest.raises(ParseError, match=f"{path}: not UTF-8 text"):
         load(str(path))
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+# cells that float() and np.loadtxt may read differently, or that neither reads
+_ODD_CELLS = st.sampled_from([
+    "inf", "-Infinity", "+nan", "-nan", "NaN", "1e500", "-0", ".5", "5.", "1_0", "١٢", "０",
+    "0x1p3", "#1", "1#", "1 #2", '"1"', '"1,2"', "'1'", "", " ", "\t", "\x0c", "\u3000", "oops",
+])
+_PADS = st.sampled_from(["", " ", "\t", "  ", "\u3000", "\x85", "\u2028", "\x1e"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Headered CSV texts, mostly well formed, with the cells and rows that
+    float() and np.loadtxt may read differently."""
+    k = draw(st.integers(0, 4))
+    lines = [",".join(f"c{j}" for j in range(k))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["numbers"] * 3 + ["mixed"] * 2 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",".join([""] * k), " ," * (k - 1)])))
+            continue
+        width = draw(st.integers(0, k + 2)) if kind == "ragged" else k
+        cells = (st.floats(-1e6, 1e6).map(repr) if kind == "numbers"
+                 else st.one_of(_NUMBERS, _NUMBERS, _ODD_CELLS))
+        lines.append(",".join(draw(_PADS) + draw(cells) + draw(_PADS) for _ in range(width)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=_csv_texts())
+def test_load_csv_reads_what_the_cell_by_cell_pass_reads(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def load():
+        try:
+            return load_csv(str(path), None)[0]
+        except ParseError as exc:
+            return str(exc)
+
+    with mock.patch("vbpoisson.io.np.loadtxt", side_effect=ValueError):
+        expected = load()  # the float()-per-cell pass alone
+    with warnings.catch_warnings():  # nor may it warn, of an empty body say
+        warnings.simplefilter("error")
+        got = load()
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_load_config_and_hyperparameters(tmp_path):

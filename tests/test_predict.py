@@ -16,6 +16,7 @@ import vbpoisson
 from vbpoisson.core import FitResult, GaussianPosterior, Method
 from vbpoisson.errors import NumericalError, TruncationError
 from vbpoisson.predict import (
+    _BLOCK,
     _ENUM_CAP,
     _MASS_TARGET,
     _hpd_set,
@@ -23,6 +24,7 @@ from vbpoisson.predict import (
     hpd_coefficients,
     ppmf_gaussian,
     predictive_distribution,
+    predictive_distributions,
     predictive_modes,
 )
 from vbpoisson.sparsify import SparseCoefficients
@@ -374,6 +376,111 @@ def test_batched_modes_refuse_an_overflowing_mean_and_a_bracket_past_2_to_the_53
     mode = int(predictive_modes(np.ones((1, 1)), _fit([np.log(3e6)], [[0.0]]))[0])
     ys = np.arange(mode - 2000, mode + 2001)
     assert ys[np.argmax(_pmf_batch(np.log(3e6), 0.0, ys))] == mode
+
+
+def _row_by_row(rows, fit, sparse, level):
+    """Reference: predictive_distribution on each row until the first that raises."""
+    out = []
+    for row in rows:
+        try:
+            out.append(predictive_distribution(row, fit, sparse, level))
+        except (TruncationError, NumericalError) as exc:
+            return out + [exc]
+    return out
+
+
+def _drawn(rows, fit, sparse, level):
+    """predictive_distributions drawn until it ends or raises."""
+    out = []
+    try:
+        out.extend(predictive_distributions(rows, fit, sparse, level))
+    except (TruncationError, NumericalError) as exc:
+        out.append(exc)
+    return out
+
+
+def _assert_identical(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert type(g) is type(r)
+        if isinstance(r, Exception):
+            assert str(g) == str(r)
+            assert getattr(g, "accumulated_mass", None) == getattr(r, "accumulated_mass", None)
+            continue
+        assert (g.support_max, g.mode, g.hpd_set) == (r.support_max, r.mode, r.hpd_set)
+        assert g.pmf.tobytes() == r.pmf.tobytes() and g.pmf.flags.owndata
+        floats = [np.array([d.tail_mass, d.mean]).tobytes() for d in (g, r)]
+        assert floats[0] == floats[1]
+
+
+# laws refused before any count (past the cap) and one whose mean overflows
+_REFUSED_LAWS = st.sampled_from([(np.log(3e6), 0.0), (-4.0, 30.0), (2.0, 8.0), (-191.25, 1849.0)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    laws=st.lists(st.one_of(_RATE_LAWS, _RATE_LAWS, _REFUSED_LAWS), min_size=1, max_size=6),
+    masked=st.booleans(),
+    dense=st.integers(0, 3),
+    level=st.sampled_from([0.5, 0.95]),
+)
+def test_batched_distributions_are_each_rows_own_bit_for_bit(laws, masked, dense, level):
+    rows, fit, sparse = _mode_rows(laws, masked)
+    if dense:
+        # rows and a covariance that mix every coefficient into each row's m and s^2
+        rng = np.random.default_rng(dense)
+        rows = rows + 1e-3 * rng.standard_normal(rows.shape)
+        a = 1e-2 * rng.standard_normal(rows.shape[::-1])
+        fit = _fit(fit.posterior.mean, fit.posterior.covariance + a @ a.T)
+    _assert_identical(_drawn(rows, fit, sparse, level), _row_by_row(rows, fit, sparse, level))
+
+
+def test_a_row_longer_than_a_block_is_enumerated_in_a_group_of_its_own(monkeypatch):
+    laws = [(0.5, 0.2), (2.0, 0.5), (np.log(5e4), 0.01), (1.0, 1e-14), (0.0, 2.0)]
+    rows, fit, _ = _mode_rows(laws, False)
+    lengths = []
+
+    def counting(m, s2, ys, log=False):
+        lengths.append(len(ys))
+        return _pmf_batch(m, s2, ys, log)
+
+    monkeypatch.setattr("vbpoisson.predict._pmf_batch", counting)
+    got = list(predictive_distributions(rows, fit))
+    supports = [d.support_max + 1 for d in got]
+    assert supports[2] > _BLOCK
+    # the rows before it, itself, the rows after it (whose degenerate row
+    # _pmf_batch then splits off, one more call for each part)
+    assert lengths[:3] == [sum(supports[:2]), supports[2], sum(supports[3:])]
+    monkeypatch.undo()
+    _assert_identical(got, _row_by_row(rows, fit, None, 0.95))
+
+
+def test_a_row_short_of_the_mass_target_raises_in_its_place_among_the_rows(monkeypatch):
+    # rows 1 and 3 lose half their mass in enumeration; row 2 is refused before any count
+    rows, fit, _ = _mode_rows([(0.5, 0.2), (1.5, 0.3), (np.log(3e6), 0.0), (1.6, 0.3)], False)
+
+    def leaky(m, s2, ys, log=False):
+        out = _pmf_batch(m, s2, ys, log)
+        return np.where(np.asarray(m) >= 1.5, 0.5 * out, out)
+
+    monkeypatch.setattr("vbpoisson.predict._pmf_batch", leaky)
+    got = _drawn(rows, fit, None, 0.95)
+    assert len(got) == 2 and isinstance(got[1], TruncationError)
+    assert 0.4 < got[1].accumulated_mass < 0.6
+    _assert_identical(got, _row_by_row(rows, fit, None, 0.95))
+    # the refused row raises first when it comes first
+    swapped = rows[[0, 2, 1, 3]]
+    assert _drawn(swapped, fit, None, 0.95)[1].accumulated_mass == 0.0
+
+
+def test_batched_distributions_check_their_arguments_before_the_first_row():
+    fit = _fit([1.0, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match="level"):
+        predictive_distributions(np.ones((2, 2)), fit, level=1.5)
+    for shape in [(2,), (2, 3), (1, 2, 2)]:
+        with pytest.raises(ValueError, match="shape"):
+            predictive_distributions(np.ones(shape), fit)
+    assert list(predictive_distributions(np.ones((0, 2)), fit)) == []
 
 
 def test_coefficient_hpd_uses_the_gaussian_quantile():
