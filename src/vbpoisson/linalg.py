@@ -11,7 +11,6 @@ import threading
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as _la
 from scipy.linalg import lapack as _lapack
 
 from .errors import NumericalError
@@ -102,21 +101,19 @@ def pd_inverse(precision: np.ndarray) -> tuple[np.ndarray, float]:
 
     A single jitter retry (1e-10 * trace/p added to the diagonal) is tried
     before giving up, since near-singular curvature matrices do occur for
-    collinear designs. The returned logdet is log|inverse|.
+    collinear designs. The returned logdet is log|inverse|. dpotrf is called
+    as scipy.linalg.cholesky(lower=True) calls it, after the same finite check.
     """
-    precision = np.asarray(precision, dtype=float)
+    precision = np.asarray_chkfinite(precision, dtype=float)
     p = precision.shape[0]
-    try:
-        chol = _la.cholesky(precision, lower=True)
-    except _la.LinAlgError:
+    chol, info = _lapack.dpotrf(precision, lower=1, clean=1)
+    if info:
         jitter = 1e-10 * np.trace(precision) / p
-        try:
-            chol = _la.cholesky(precision + jitter * np.eye(p), lower=True)
-        except _la.LinAlgError:
+        jittered = np.asarray_chkfinite(precision + jitter * np.eye(p))
+        chol, info = _lapack.dpotrf(jittered, lower=1, clean=1)
+        if info:
             cond = float(np.linalg.cond(precision))
-            raise NumericalError(
-                "precision matrix is not positive definite", condition=cond
-            ) from None
+            raise NumericalError("precision matrix is not positive definite", condition=cond)
     logdet_precision = 2.0 * np.sum(np.log(np.diag(chol)))
     # potri overwrites the lower triangle with that of the inverse and leaves
     # the upper one as cholesky left it, all zeros; adding the transpose
@@ -134,18 +131,18 @@ def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, fl
     Through the n x n capacitance matrix C = I + R D^-1 R^T = L L^T: V is
     L^-1 R D^-1 (Woodbury) and |D + R^T R| = |D| |C| (the matrix determinant
     lemma). C is at least I, so its Cholesky needs no jitter; d must be
-    positive and finite.
+    positive and finite. dpotrf and dtrtrs are called as scipy.linalg's
+    cholesky and solve_triangular call them.
     """
     if not np.all((d > 0.0) & (d < np.inf)):
         raise NumericalError("precision diagonal is not positive and finite")
     scaled = root / d
     cap = scaled @ root.T
     cap.flat[:: cap.shape[0] + 1] += 1.0
-    try:
-        chol = _la.cholesky(cap, lower=True)
-    except (_la.LinAlgError, ValueError):  # ValueError: an entry overflowed to inf
-        raise NumericalError("capacitance matrix is not positive definite") from None
-    v = _la.solve_triangular(chol, scaled, lower=True, check_finite=False)
+    chol, info = _lapack.dpotrf(cap, lower=1, clean=1)
+    if info or not np.isfinite(cap).all():  # not finite: an entry overflowed
+        raise NumericalError("capacitance matrix is not positive definite")
+    v = _lapack.dtrtrs(chol, scaled, lower=1)[0]
     return v, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 

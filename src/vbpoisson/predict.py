@@ -29,9 +29,11 @@ _WINDOW_NATS = 45.0
 _GL_NODES, _GL_WEIGHTS = leggauss(32)
 _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 _MASS_TARGET = 1.0 - 1e-6
-# counts per pass of the count-by-node matrix, so long supports stay cheap
-_BLOCK = 2**22 // (2 * _GL_NODES.size)
+# counts per pass of the count-by-node matrix and per group of predict rows
+_BLOCK = 2048
 _ENUM_CAP = 10**6
+_OVERFLOW = "predictive mean e^(m + s^2/2) overflows a float"
+_NONFINITE = "predictive log-rate mean m or variance s^2 is not finite"
 
 
 def ppmf_gaussian(x0: np.ndarray, posterior: GaussianPosterior, y0: int) -> float:
@@ -150,9 +152,10 @@ def predictive_distributions(
 
     With `sparse` given, the coefficients it zeroes leave the linear predictor.
     A row whose pmf cannot reach _MASS_TARGET within _ENUM_CAP counts raises
-    TruncationError, and one whose mean overflows a float NumericalError, once
-    the rows before it are yielded. One _pmf_batch call enumerates each group
-    of rows with at most _BLOCK counts in all, or one longer row.
+    TruncationError, and one whose m or s^2 is not finite or whose mean
+    overflows a float NumericalError, once the rows before it are yielded. One
+    _pmf_batch call enumerates each group of rows with at most _BLOCK counts in
+    all, or one longer row.
     """
     _check_level(level)
     rows, post = np.asarray(rows, dtype=float), fit.posterior
@@ -162,6 +165,7 @@ def predictive_distributions(
     xms = (row if sparse is None else row * sparse.p_binary for row in rows)
     laws = [(float(xm @ post.mean), float(xm @ post.covariance @ xm)) for xm in xms]
     m, s2 = np.array(laws).reshape(-1, 2).T
+    finite = np.isfinite(m) & np.isfinite(s2)
     # what overflows, or divides by s = 0, is on refused rows only or not used
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = np.where(s2 >= _DEGENERATE_VAR, np.sqrt(s2), 0.0)
@@ -180,12 +184,13 @@ def predictive_distributions(
         # the nan that pdtrik returns at an overflowed rate
         rate = np.exp(m - s * ndtri(0.81 * (1.0 - _MASS_TARGET)))
     k = np.fmin(np.ceil(pdtrik(1.0 - 0.09 * (1.0 - _MASS_TARGET), rate)), _ENUM_CAP - 1)
+    errors = np.where(finite, np.where(overflows, _OVERFLOW, ""), _NONFINITE)
     # a refused row, and every row from the first that fails on, gets no counts
-    sizes = np.where(np.cumsum(refused | overflows), 0, k + 1).astype(np.int64)
-    return _summarise(m, s2, sizes, overflows, level)
+    sizes = np.where(np.cumsum(refused | (errors != "")), 0, k + 1).astype(np.int64)
+    return _summarise(m, s2, sizes, errors, level)
 
 
-def _summarise(m, s2, sizes, overflows, level):
+def _summarise(m, s2, sizes, errors, level):
     """The rows' PredictiveDistributions, their counts enumerated a group at a time."""
     ends, lo = np.cumsum(sizes), 0
     while lo < sizes.size:
@@ -194,8 +199,8 @@ def _summarise(m, s2, sizes, overflows, level):
         ys = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)  # each row's 0..K in turn
         pmfs = _pmf_batch(np.repeat(m[lo:hi], n), np.repeat(s2[lo:hi], n), ys)
         for i, pmf in zip(range(lo, hi), np.split(pmfs, np.cumsum(n)[:-1])):
-            if overflows[i]:
-                raise NumericalError("predictive mean e^(m + s^2/2) overflows a float")
+            if errors[i]:
+                raise NumericalError(str(errors[i]))
             pmf = pmf.copy()
             total = float(pmf.sum())  # 0.0 for a refused row
             if total < _MASS_TARGET:
@@ -220,14 +225,16 @@ def predictive_modes(
     every y >= e^(m - s^2/2) - 1: the mode lies in [0, ceil(e^(m - s^2/2))].
     One bisection runs on that bracket for all rows in lock-step, testing the
     pmf's own values, so ties resolve as argmax does; where both underflow to 0
-    it compares their logs. A row whose mean overflows a float, or whose
-    bracket is not a count below 2^53, raises NumericalError.
+    it compares their logs. A row whose m or s^2 is not finite, whose mean
+    overflows a float, or whose bracket reaches 2^53 raises NumericalError.
     """
     xm = rows if sparse is None else rows * sparse.p_binary
     m = xm @ fit.posterior.mean
     s2 = np.einsum("ij,ij->i", xm @ fit.posterior.covariance, xm)
+    if not np.all(np.isfinite(m) & np.isfinite(s2)):
+        raise NumericalError(_NONFINITE)
     if np.any(m + 0.5 * s2 > np.log(np.finfo(float).max)):
-        raise NumericalError("predictive mean e^(m + s^2/2) overflows a float")
+        raise NumericalError(_OVERFLOW)
     top = np.ceil(np.exp(m - 0.5 * s2))
     if not np.all(top < 2.0**53):
         raise NumericalError("predictive mode bracket e^(m - s^2/2) is not a count below 2^53")

@@ -1,6 +1,7 @@
 """Behavioral checks for the three coordinate-ascent engines."""
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -331,3 +332,82 @@ def test_no_sweep_at_fixed_xi_lowers_the_bound(seed, n, p):
             values.append(cavi.elbo(elbo_terms(state, ds, hp)))
         steps = np.diff(values) / np.abs(values[:-1])
         assert steps.min() >= -1e-12, (method, int(np.argmin(steps)), steps.min())
+
+
+def _reference_gamma_sweep(state):
+    """The mask sweep as one numpy-scalar expression per slope, the form the
+    float sweep must round exactly as."""
+    mu, sigma = state.posterior.mean, state.posterior.covariance
+    cross = state.quad.s_x_xi * (np.outer(mu, mu) + sigma)
+    score = state.quad.score
+    p_new = state.p_incl.copy()
+    p_new[0] = 1.0
+    args = []
+    for j in range(1, mu.shape[0]):
+        arg = (
+            score[j] * mu[j]
+            - 0.5 * cross[j, j]
+            - (p_new @ cross[j] - p_new[j] * cross[j, j])
+            + state.e_log_pi[j]
+            - state.e_log_1mpi[j]
+        )
+        args.append(arg)
+        p_new[j] = cavi.damped_step(p_new[j], arg)
+    return p_new, np.array(args)
+
+
+def _sweep_state(seed, p, scale, pinned):
+    """A mask-sweep state with p slopes: S = X^T W X and Sigma from random
+    factors, a score and mean spread by `scale`, and inclusion probabilities
+    of which a share `pinned` sit exactly at 0 or 1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((int(rng.integers(1, 2 * p + 2)), p))
+    s_x = (x * rng.uniform(0.1, 5.0, size=(x.shape[0], 1))).T @ x
+    a = rng.standard_normal((p, p)) / p
+    p_incl = rng.uniform(0.0, 1.0, size=p)
+    at = rng.uniform(size=p) < pinned
+    p_incl[at] = rng.integers(0, 2, size=at.sum())
+    e_log_pi = -rng.exponential(2.0, size=p)
+    return types.SimpleNamespace(
+        posterior=GaussianPosterior(scale * rng.standard_normal(p), a @ a.T),
+        quad=types.SimpleNamespace(s_x_xi=s_x, score=scale * rng.standard_normal(p)),
+        p_incl=p_incl,
+        e_log_pi=e_log_pi,
+        e_log_1mpi=e_log_pi - rng.normal(0.0, scale, size=p),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e6]),
+    pinned=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_the_mask_sweep_rounds_as_the_numpy_scalar_sweep(seed, p, scale, pinned):
+    state = _sweep_state(seed, p, scale, pinned)
+    ref, _ = _reference_gamma_sweep(state)
+    assert bernoulli.update_gamma_bernoulli(state).tobytes() == ref.tobytes()
+
+
+def test_the_mask_sweep_saturates_where_the_logistic_overflows():
+    # arguments far past +-709, where e^-arg overflows or vanishes, and at
+    # the edge of e^x's range, with inclusion probabilities at 0 and 1
+    state = _sweep_state(7, 40, 1e6, 0.5)
+    ref, args = _reference_gamma_sweep(state)
+    assert args.min() < -710.0 and args.max() > 710.0
+    assert {0.0, 1.0} <= set(state.p_incl[1:].tolist())
+    assert bernoulli.update_gamma_bernoulli(state).tobytes() == ref.tobytes()
+    # arguments within a few ulps of -log(largest float), where e^-arg starts
+    # to overflow, met exactly: with mu and Sigma zero, arg is E log pi
+    edge = np.log(np.finfo(float).max)
+    below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+    near = np.array([np.nextafter(below, 0.0), below, edge, above, np.nextafter(above, np.inf)])
+    state.e_log_pi = np.resize(np.concatenate([near, -near]), 40)
+    state.e_log_1mpi = np.zeros(40)
+    state.posterior = GaussianPosterior(np.zeros(40), np.zeros((40, 40)))
+    ref, args = _reference_gamma_sweep(state)
+    np.testing.assert_array_equal(args, state.e_log_pi[1:])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(-args)).any() and np.isfinite(np.exp(-args[args < 0])).any()
+    assert bernoulli.update_gamma_bernoulli(state).tobytes() == ref.tobytes()

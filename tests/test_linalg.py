@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -360,3 +361,94 @@ def test_blas_pin_under_concurrent_fits(fake_pools):
     assert errors == []
     assert [p.count for p in fake_pools] == [2, 3]
     assert linalg._pin_depth == 0
+
+
+def _scipy_pd_inverse(precision):
+    """pd_inverse through scipy.linalg.cholesky: the reference for its LAPACK calls."""
+    precision = np.asarray(precision, dtype=float)
+    p = precision.shape[0]
+    try:
+        chol = scipy.linalg.cholesky(precision, lower=True)
+    except scipy.linalg.LinAlgError:
+        jitter = 1e-10 * np.trace(precision) / p
+        try:
+            chol = scipy.linalg.cholesky(precision + jitter * np.eye(p), lower=True)
+        except scipy.linalg.LinAlgError:
+            raise NumericalError("not PD", condition=float(np.linalg.cond(precision))) from None
+    lower = scipy.linalg.lapack.dpotri(chol, lower=1)[0]
+    inv = lower + lower.T
+    inv.flat[:: p + 1] *= 0.5
+    return inv, -2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _scipy_capacitance_inverse(d, root):
+    """capacitance_inverse through scipy.linalg.cholesky and solve_triangular."""
+    scaled = root / d
+    cap = scaled @ root.T
+    cap.flat[:: cap.shape[0] + 1] += 1.0
+    try:
+        chol = scipy.linalg.cholesky(cap, lower=True)
+    except (scipy.linalg.LinAlgError, ValueError):
+        raise NumericalError("not PD") from None
+    v = scipy.linalg.solve_triangular(chol, scaled, lower=True, check_finite=False)
+    return v, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def _same(got, ref):
+    """Bit-for-bit equal results, the matrix in the same memory order."""
+    assert got[0].tobytes(order="A") == ref[0].tobytes(order="A")
+    assert got[0].flags.f_contiguous == ref[0].flags.f_contiguous
+    assert np.array(got[1]).tobytes() == np.array(ref[1]).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 40), rank=st.integers(0, 45))
+def test_pd_inverse_is_the_scipy_cholesky_inverse_bit_for_bit(seed, p, rank):
+    # below full rank the first Cholesky may fail and the jittered one run
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rank, p)) * 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+    precision = a.T @ a + np.diag(rng.uniform(0.0, 1.0, size=p) * (rng.uniform(size=p) < 0.5))
+    try:
+        ref = _scipy_pd_inverse(precision)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as info:
+            pd_inverse(precision)
+        assert info.value.condition == exc.condition
+        return
+    _same(pd_inverse(precision), ref)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), masked=st.booleans())
+def test_the_capacitance_solve_is_the_scipy_one_bit_for_bit(seed, n, masked):
+    quad, d, _, col = _capacitance_case(seed, n, n + 1 + seed % 40, masked)
+    root = quad.root() if col is None else quad.root() * col
+    _same(capacitance_inverse(d, root), _scipy_capacitance_inverse(d, root))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_solves_refuse_non_finite_input_as_scipy_did(bad):
+    precision = np.eye(3)
+    precision[0, 2] = bad  # in the triangle the factorisation does not read
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _scipy_pd_inverse(precision)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pd_inverse(precision)
+    quad, d, _, _ = _capacitance_case(0, 5, 12, False)
+    for at, value in [((2, 3), bad), ((1, 4), 1e200)]:  # 1e200 overflows C to inf
+        root = quad.root().copy()
+        root[at] = value
+        with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+            _scipy_capacitance_inverse(d, root)
+        with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+            capacitance_inverse(d, root)
+
+
+def test_pd_inverse_refuses_a_matrix_that_jitter_cannot_save_as_scipy_did():
+    precision = np.diag([1.0, -1.0, 2.0])
+    with pytest.raises(NumericalError) as ref:
+        _scipy_pd_inverse(precision)
+    with pytest.raises(NumericalError) as got:
+        pd_inverse(precision)
+    assert got.value.condition == ref.value.condition
+    _same(pd_inverse(np.ones((2, 2))), _scipy_pd_inverse(np.ones((2, 2))))

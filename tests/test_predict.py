@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,38 @@ def test_a_row_whose_mean_overflows_raises_a_numerical_error():
         predictive_distribution(np.array([1.0]), _fit([-191.25], [[1849.0]]))
 
 
+# a row's covariates, mean and variance, and the m and s^2 they give
+_NON_FINITE_ROWS = [
+    ([np.nan], [1.0], [[1.0]]),  # m and s^2 NaN
+    ([np.inf], [1.0], [[1.0]]),  # m = inf, which the cap check refused before
+    ([1.0], [-np.inf], [[1.0]]),  # m = -inf, s^2 finite
+    ([1e10], [0.0], [[1e300]]),  # s^2 overflows to inf, m = 0
+]
+
+
+@pytest.mark.parametrize("x0, mu, cov", _NON_FINITE_ROWS)
+def test_a_row_whose_law_is_not_finite_raises_at_once(x0, mu, cov):
+    fit = _fit(mu, cov)
+    start = time.perf_counter()
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericalError, match="not finite"):
+            predictive_distribution(np.array(x0), fit)
+        with pytest.raises(NumericalError, match="not finite"):
+            predictive_modes(np.array([x0]), fit)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_row_whose_law_is_not_finite_raises_in_its_place_among_the_rows():
+    fit = _fit([0.5, 1.0], np.diag([0.2, 0.3]))
+    rows = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        got = _drawn(rows, fit, None, 0.95)
+        _assert_identical(got, _row_by_row(rows, fit, None, 0.95))
+        assert len(got) == 2 and isinstance(got[1], NumericalError)
+        with pytest.raises(NumericalError, match="not finite"):
+            predictive_modes(rows, fit)
+
+
 @pytest.mark.parametrize(
     "m, s2",
     # at m = 8 the counts left of the mode underflow to exact zeros; at m = 5 they do not
@@ -453,6 +486,22 @@ def test_a_row_longer_than_a_block_is_enumerated_in_a_group_of_its_own(monkeypat
     assert lengths[:3] == [sum(supports[:2]), supports[2], sum(supports[3:])]
     monkeypatch.undo()
     _assert_identical(got, _row_by_row(rows, fit, None, 0.95))
+
+
+def test_many_rows_are_enumerated_in_groups_of_small_temporaries():
+    # 200 rows of about 111 counts each: one group for all of them would make
+    # count-by-node temporaries of 22,200 x 64 floats, 11 MB each
+    rng = np.random.default_rng(0)
+    rows = np.column_stack([np.ones(200), rng.standard_normal((200, 4))])
+    fit = _fit([3.0, 0.3, 0.2, -0.1, 0.1], 0.01 * np.eye(5))
+    tracemalloc.start()
+    try:
+        got = list(predictive_distributions(rows, fit))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(d.support_max + 1 for d in got) > 20_000
+    assert peak < 16e6
 
 
 def test_a_row_short_of_the_mass_target_raises_in_its_place_among_the_rows(monkeypatch):
