@@ -15,7 +15,7 @@ from .core import Dataset, FitResult, GaussianPosterior, Hyperparameters, Method
 from .errors import VbPoissonError
 from .harness import FITTERS, HIGH_DIM, LOW_DIM, ScenarioConfig, run_study
 from .predict import hpd_coefficients, predictive_distributions
-from .sparsify import sparsify
+from .sparsify import SparseCoefficients, sparsify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,34 +80,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _standardize(dataset: Dataset) -> tuple[Dataset, np.ndarray, np.ndarray]:
+def _standardize(dataset: Dataset, on: bool) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """The dataset with centred, scaled covariates, and the centres and scales: 0, 1 unless `on`."""
     x = dataset.design.copy()
-    center = np.zeros(dataset.p)
-    scale = np.ones(dataset.p)
-    center[1:] = x[:, 1:].mean(axis=0)
-    sd = x[:, 1:].std(axis=0)
-    scale[1:] = np.where(sd > 0.0, sd, 1.0)
+    center, scale = np.zeros(dataset.p), np.ones(dataset.p)
+    if on:
+        center[1:] = x[:, 1:].mean(axis=0)
+        sd = x[:, 1:].std(axis=0)
+        scale[1:] = np.where(sd > 0.0, sd, 1.0)
     x[:, 1:] = (x[:, 1:] - center[1:]) / scale[1:]
     return Dataset(x, dataset.response), center, scale
 
 
-def _destandardize(fit: FitResult, center: np.ndarray, scale: np.ndarray) -> FitResult:
-    """Map the posterior back to the original covariate scale."""
+def _destandardize(fit: FitResult, sparse: SparseCoefficients, center: np.ndarray,
+                   scale: np.ndarray) -> tuple[FitResult, SparseCoefficients]:
+    """Map a fit and its sparse record back to the original covariate scale. The
+    intercept carries only the kept slopes' centring, so no zeroed slope's
+    variance reaches it and the masked linear predictor stays the fitted one."""
     t = np.diag(1.0 / scale)
-    t[0, 1:] = -center[1:] / scale[1:]
+    t[0, 1:] = -sparse.p_binary[1:] * center[1:] / scale[1:]
 
     def _map(post: GaussianPosterior) -> GaussianPosterior:
-        mean = t @ post.mean
         cov = t @ post.covariance @ t.T
-        return GaussianPosterior(mean=mean, covariance=0.5 * (cov + cov.T))
+        return GaussianPosterior(mean=t @ post.mean, covariance=0.5 * (cov + cov.T))
 
-    return replace(
-        fit,
-        posterior=_map(fit.posterior),
-        interval_posterior=(
-            _map(fit.interval_posterior) if fit.interval_posterior is not None else None
-        ),
-    )
+    interval = fit.interval_posterior and _map(fit.interval_posterior)
+    return (replace(fit, posterior=_map(fit.posterior), interval_posterior=interval),
+            replace(sparse, beta_hat=t @ sparse.beta_hat))
 
 
 def _check_out(*paths) -> None:
@@ -132,12 +131,9 @@ def _cmd_fit(args) -> int:
     hp = Hyperparameters()
     if args.config:
         hp = _io.hyperparameters_from_config(_io.load_config(args.config))
-    if args.standardize:
-        work, center, scale = _standardize(dataset)
-        fit = _destandardize(FITTERS[Method(args.method)](work, hp), center, scale)
-    else:
-        fit = FITTERS[Method(args.method)](dataset, hp)
-    sparse = sparsify(fit, dataset)
+    work, center, scale = _standardize(dataset, args.standardize)
+    fit = FITTERS[Method(args.method)](work, hp)
+    fit, sparse = _destandardize(fit, sparsify(fit, work), center, scale)
     hpd = hpd_coefficients(fit.interval_posterior or fit.posterior, args.level)
     bundle = _io.result_bundle(fit, sparse, hpd, hp, args.seed, names)
     _io.save_bundle(bundle, args.out)
@@ -215,8 +211,9 @@ def _cmd_simulate(args) -> int:
     summary = {name: asdict(rep) for name, rep in result.reports.items()}
     for row in summary.values():
         del row["wall_time_s"]
-    if args.summary_out:
-        _io.save_bundle(summary, args.summary_out)
+    if args.summary_out:  # strict JSON: each NaN, also within coverage, is written as null
+        _io.save_bundle({name: {k: np.where(np.isnan(v), None, v) for k, v in row.items()}
+                         for name, row in summary.items()}, args.summary_out)
     for name, row in summary.items():
         print(
             f"{name}: cre={row['cre']:.4f} trre={row['trre']:.4f} "

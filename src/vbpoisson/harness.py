@@ -103,8 +103,6 @@ def _draw_design(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray
     """Intercept plus AR(1)-correlated Gaussian covariates (lag weight 0.3)."""
     n, k = config.n, config.p - 1
     x = np.ones((n, config.p))
-    if k == 0:
-        return x
     sd = np.sqrt(config.sigma2_x)
     eps = rng.standard_normal((n, k))
     cols = np.empty((n, k))

@@ -26,10 +26,12 @@ _BLAS_SYMBOLS = (
 
 
 def _find_blas_pools() -> list:
-    """(getter, setter) pairs of every OpenBLAS mapped into this process.
+    """One (getter, setter) pair per distinct OpenBLAS mapped into this process.
 
     numpy and scipy, imported by this module, have loaded theirs; mapped
-    libraries are listed from /proc/self/maps. Where that file does not
+    libraries are listed from /proc/self/maps. scipy's `_fblas` and
+    `cython_blas` modules are listed too and resolve to its library's setter,
+    so pairs are kept by setter address. Where that file does not
     exist, nothing is found and the thread pin does nothing.
     """
     paths = set()
@@ -41,7 +43,7 @@ def _find_blas_pools() -> list:
                     paths.add(path)
     except OSError:
         return []
-    pools = []
+    pools = {}
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
@@ -55,9 +57,9 @@ def _find_blas_pools() -> list:
                 getter.argtypes = []
                 setter.restype = None
                 setter.argtypes = [ctypes.c_int]
-                pools.append((getter, setter))
+                pools.setdefault(ctypes.cast(setter, ctypes.c_void_p).value, (getter, setter))
                 break
-    return pools
+    return list(pools.values())
 
 
 # found on the first pin, not at import, so importing opens no file

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vbpoisson import harness
 from vbpoisson.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, _destandardize, _standardize, cli
 from vbpoisson.core import Dataset, FitResult, GaussianPosterior, Method
+from vbpoisson.io import load_csv
+from vbpoisson.sparsify import SparseCoefficients, poisson_loglik
 
 
 @pytest.fixture()
@@ -459,6 +461,27 @@ def test_simulate_writes_raw_and_summary(tmp_path, capsys):
     )
 
 
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def test_simulate_writes_a_nan_metric_as_null(tmp_path, capsys):
+    # with one active coefficient, the intercept, no slope can be missed: FNR is NaN
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text("n = 40\np = 5\nmu0 = 0.5\nsigma0 = 0.3\nmu_x = 0.1\nsigma2_x = 1.0\n"
+                   "random_k = 1\n", encoding="utf-8")
+    raw_out, sum_out = str(tmp_path / "raw.csv"), str(tmp_path / "summary.json")
+    code = cli(["simulate", "--scenario", "custom", "--config", str(cfg), "--replications", "2",
+                "--methods", "laplace", "--summary-out", sum_out, "--out", raw_out])
+    assert code == EXIT_OK
+    summary = json.loads(open(sum_out, encoding="utf-8").read(), parse_constant=_refuse)
+    assert summary["laplace"]["fnr"] is None
+    assert all(isinstance(v, float) for v in summary["laplace"]["coverage"])
+    # the raw table and the printed summary still show the NaN as such
+    assert "fnr=nan" in capsys.readouterr().out
+    assert all(r["fnr"] == "nan" for r in csv.DictReader(open(raw_out, encoding="utf-8")))
+
+
 def test_simulate_is_deterministic(tmp_path):
     outs = []
     for name in ("r1.csv", "r2.csv"):
@@ -620,6 +643,62 @@ def test_fit_warns_about_the_diagnostics_it_tolerates(tmp_path, data_csv, capsys
     assert capsys.readouterr().err == "warning: zero-variance column 3\n"
 
 
+def _count_csvs(tmp_path, stem, mu_x, shift=0.0, seed=3):
+    """Training (2000 rows) and held-out (200 rows) CSVs over 30 covariates of mean
+    mu_x, 6 slopes at +-0.3 and rate e^1 at the means, written with `shift` added
+    to every covariate and 17 significant digits; returns their paths."""
+    rng = np.random.default_rng(seed)
+    x = mu_x + rng.standard_normal((2200, 30))
+    beta = np.zeros(31)
+    active = 1 + rng.choice(30, size=6, replace=False)
+    beta[active] = 0.3 * rng.choice((-1.0, 1.0), size=6)
+    beta[0] = 1.0 - mu_x * beta[1:].sum()
+    y = rng.poisson(np.exp(beta[0] + x @ beta[1:]))
+    x = x + shift
+    header = ",".join(f"x{j + 1}" for j in range(30))
+    paths = tmp_path / f"{stem}-train.csv", tmp_path / f"{stem}-hold.csv"
+    np.savetxt(paths[0], np.column_stack([y[:2000], x[:2000]]), fmt=["%d"] + ["%.17g"] * 30,
+               delimiter=",", header="y," + header, comments="")
+    np.savetxt(paths[1], x[2000:], fmt="%.17g", delimiter=",", header=header, comments="")
+    return tuple(map(str, paths))
+
+
+def _fit_and_predict(tmp_path, stem, method, train, hold):
+    """The bundle and prediction rows of `fit` then `predict`, each of which must exit 0."""
+    bundle, preds = str(tmp_path / f"{stem}.json"), str(tmp_path / f"{stem}-pred.json")
+    assert cli(["fit", "--method", method, "--data", train, "--response", "y",
+                "--out", bundle]) == EXIT_OK
+    assert cli(["predict", "--model", bundle, "--data", hold, "--out", preds]) == EXIT_OK
+    return (json.load(open(bundle, encoding="utf-8")),
+            json.load(open(preds, encoding="utf-8"))["predictions"])
+
+
+@pytest.mark.parametrize("method", ["laplace", "cs", "bernoulli"])
+def test_uncentred_covariates_fit_and_predict(tmp_path, method):
+    # the excluded slopes' variance must not reach the intercept when the fit
+    # is mapped back from covariates centred at 2
+    train, hold = _count_csvs(tmp_path, "d", mu_x=2.0)
+    bundle, rows = _fit_and_predict(tmp_path, "d", method, train, hold)
+    assert len(rows) == 200
+    assert bundle["fit"]["covariance"][0][0] < 0.1
+    # sparsify saw the design the engine fitted; its criterion is the mapped beta_hat's here
+    loglik = poisson_loglik(np.array(bundle["sparse"]["beta_hat"]), load_csv(train, "y")[0])
+    assert bundle["sparse"]["aic"] == pytest.approx(-loglik + 2 * bundle["sparse"]["df"], rel=1e-9)
+
+
+@pytest.mark.parametrize("method", ["laplace", "cs", "bernoulli"])
+def test_shifting_every_covariate_moves_neither_the_support_nor_the_predictions(tmp_path, method):
+    fits = [_fit_and_predict(tmp_path, f"s{shift}", method,
+                             *_count_csvs(tmp_path, f"s{shift}", mu_x=0.1, shift=shift))
+            for shift in (0.0, 3.0)]
+    (base, base_rows), (shifted, shifted_rows) = fits
+    assert shifted["sparse"]["support"] == base["sparse"]["support"]
+    assert [r["mode"] for r in shifted_rows] == [r["mode"] for r in base_rows]
+    assert [r["hpd_set"] for r in shifted_rows] == [r["hpd_set"] for r in base_rows]
+    np.testing.assert_allclose([r["mean"] for r in shifted_rows],
+                               [r["mean"] for r in base_rows], rtol=1e-6)
+
+
 def _linear_predictor(post, x):
     """Mean and variance of x @ beta for each row under a Gaussian posterior."""
     return x @ post.mean, np.einsum("ij,jk,ik->i", x, post.covariance, x)
@@ -631,13 +710,16 @@ def _linear_predictor(post, x):
     n=st.integers(3, 40),
     p=st.integers(1, 8),
     interval=st.booleans(),
+    kept=st.lists(st.booleans(), min_size=7, max_size=7),
 )
-def test_destandardized_posterior_keeps_the_linear_predictor(seed, n, p, interval):
+@example(seed=1, n=20, p=8, interval=True, kept=[True] * 7)
+@example(seed=2, n=20, p=8, interval=False, kept=[True] * 7)
+def test_destandardized_posterior_keeps_the_linear_predictor(seed, n, p, interval, kept):
     rng = np.random.default_rng(seed)
     # covariates with offsets and spreads far from zero mean and unit scale
     cols = rng.standard_normal((n, p - 1)) * rng.uniform(0.1, 10.0, p - 1)
     x = np.column_stack([np.ones(n), cols + rng.uniform(-10.0, 10.0, p - 1)])
-    work, center, scale = _standardize(Dataset(x, np.zeros(n)))
+    work, center, scale = _standardize(Dataset(x, np.zeros(n)), True)
 
     def spd_posterior():
         a = rng.standard_normal((p, p))
@@ -653,16 +735,41 @@ def test_destandardized_posterior_keeps_the_linear_predictor(seed, n, p, interva
         converged=True,
         interval_posterior=spd_posterior() if interval else None,
     )
-    out = _destandardize(fit, center, scale)
+    # the sparse record that keeps the intercept and the slopes `kept` marks
+    keep = np.array([True] + kept[: p - 1])
+    support = tuple(np.flatnonzero(keep).tolist())
+    sparse = SparseCoefficients(
+        beta_hat=np.where(keep, fit.posterior.mean, 0.0), support=support, kappa=0.5,
+        aic=1.0, df=len(support), p_binary=keep.astype(float),
+    )
+    out, out_sparse = _destandardize(fit, sparse, center, scale)
     pairs = [(fit.posterior, out.posterior)]
     if interval:
         pairs.append((fit.interval_posterior, out.interval_posterior))
     else:
         assert out.interval_posterior is None
+    # the masked rows, as `predict` forms them, see the standardised fit's predictor
     for std_post, orig_post in pairs:
-        for want, got in zip(_linear_predictor(std_post, work.design), _linear_predictor(orig_post, x)):
+        for want, got in zip(_linear_predictor(std_post, work.design * keep),
+                             _linear_predictor(orig_post, x * keep)):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
-    # every field other than the two mapped posteriors is carried over as is
+    want = work.design @ sparse.beta_hat
+    np.testing.assert_allclose(x @ out_sparse.beta_hat, want, rtol=1e-9,
+                               atol=1e-9 * np.max(np.abs(want)))
+    # every field other than the two mapped posteriors and beta_hat is carried over as is
     for f in dataclasses.fields(FitResult):
         if f.name not in ("posterior", "interval_posterior"):
             assert getattr(out, f.name) is getattr(fit, f.name)
+    for f in dataclasses.fields(SparseCoefficients):
+        if f.name != "beta_hat":
+            assert getattr(out_sparse, f.name) is getattr(sparse, f.name)
+    # without standardising, the design and the map are the identity, to the bit
+    raw, center, scale = _standardize(Dataset(x, np.zeros(n)), False)
+    assert np.array_equal(raw.design, x)
+    same, same_sparse = _destandardize(fit, sparse, center, scale)
+    assert np.array_equal(same_sparse.beta_hat, sparse.beta_hat)
+    for before, after in [(fit.posterior, same.posterior)] + (
+        [(fit.interval_posterior, same.interval_posterior)] if interval else []
+    ):
+        assert np.array_equal(after.mean, before.mean)
+        assert np.array_equal(after.covariance, 0.5 * (before.covariance + before.covariance.T))

@@ -1,6 +1,7 @@
 """SPD inverse, the n < p capacitance solve and the single-thread BLAS pin
 every fit runs under."""
 
+import ctypes
 import sys
 import threading
 
@@ -331,6 +332,12 @@ def test_blas_pin_sets_and_restores_the_loaded_libraries():
             assert [getter() for getter, _ in pools] == [1] * len(pools)
             raise RuntimeError("inside the pin")
     assert [getter() for getter, _ in pools] == before
+
+
+def test_blas_pin_finds_each_library_once():
+    # scipy's OpenBLAS is mapped under three file names that export one setter
+    setters = [ctypes.cast(s, ctypes.c_void_p).value for _, s in linalg._find_blas_pools()]
+    assert len(set(setters)) == len(setters)
 
 
 def test_blas_pin_under_concurrent_fits(fake_pools):
