@@ -112,8 +112,12 @@ def _destandardize(fit: FitResult, sparse: SparseCoefficients, center: np.ndarra
 def _check_out(*paths) -> None:
     """Raise the OSError that writing each given path would, before any work runs."""
     for path in (p for p in paths if p is not None):
-        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        try:  # the parent resolved as open resolves it: ENOENT if missing, ENOTDIR under a file
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+            code = errno.ENOENT if not path else errno.EISDIR if os.path.isdir(path) else 0
+        except OSError as exc:
+            code = exc.errno
+        if code:
             raise OSError(code, os.strerror(code), path)
 
 

@@ -11,6 +11,7 @@ import threading
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
 from .errors import NumericalError
@@ -133,8 +134,9 @@ def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, fl
     Through the n x n capacitance matrix C = I + R D^-1 R^T = L L^T: V is
     L^-1 R D^-1 (Woodbury) and |D + R^T R| = |D| |C| (the matrix determinant
     lemma). C is at least I, so its Cholesky needs no jitter; d must be
-    positive and finite. dpotrf and dtrtrs are called as scipy.linalg's
-    cholesky and solve_triangular call them.
+    positive and finite. dpotrf is called as scipy.linalg.cholesky calls it.
+    V is solved as V^T L^T = (R D^-1)^T, a right-side dtrsm on the transpose
+    of R D^-1, which is already in Fortran order, so V comes out in C order.
     """
     if not np.all((d > 0.0) & (d < np.inf)):
         raise NumericalError("precision diagonal is not positive and finite")
@@ -144,7 +146,7 @@ def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, fl
     chol, info = _lapack.dpotrf(cap, lower=1, clean=1)
     if info or not np.isfinite(cap).all():  # not finite: an entry overflowed
         raise NumericalError("capacitance matrix is not positive definite")
-    v = _lapack.dtrtrs(chol, scaled, lower=1)[0]
+    v = _blas.dtrsm(1.0, chol, scaled.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
     return v, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
@@ -173,7 +175,8 @@ class GaussianPosterior:
     @cached_property
     def covariance(self) -> np.ndarray:
         """Sigma as one p x p matrix, formed from d and V."""
-        sigma = -(self._v.T @ self._v)
+        sigma = self._v.T @ self._v
+        np.negative(sigma, out=sigma)
         sigma.flat[:: self._d.shape[0] + 1] += 1.0 / self._d
         return sigma
 
@@ -200,27 +203,18 @@ class GaussianPosterior:
         R = quad.root(col), it is |R mu|^2 + sum_ij r_ij^2 / d_j - |V R^T|^2.
         """
         mu, dense = self.mean, self._v is None
-        root = None if dense else quad.root()
         trace = 0.0
         if col is not None:
-            trace = np.sum(_mask_variance(quad, col, root) * self.second_moments)
+            trace = np.sum(col * (1.0 - col) * quad.s_diag * self.second_moments)
         if dense:
             s_x = quad.s_x_xi if col is None else quad.s_x_xi * np.outer(col, col)
             trace += np.vdot(s_x, np.outer(mu, mu) + self.covariance)
         else:
-            root = root if col is None else root * col
+            root = quad.root(col)
             fit = root @ mu
             cross = self._v @ root.T
             trace += fit @ fit + np.sum((root * root) @ (1.0 / self._d)) - np.vdot(cross, cross)
         return approx_loglik(quad, mu if col is None else col * mu, trace)
-
-
-def _mask_variance(quad: QuadApprox, col: np.ndarray, root: np.ndarray | None) -> np.ndarray:
-    """col (1 - col) o diag S, what the mask's variance adds to the diagonal of
-    S o (col col^T); diag S is read from the unscaled root R if one is given,
-    else from s_x_xi."""
-    s_diag = np.diag(quad.s_x_xi) if root is None else np.einsum("ij,ij->j", root, root)
-    return col * (1.0 - col) * s_diag
 
 
 def gaussian_factor(
@@ -239,9 +233,8 @@ def gaussian_factor(
     """
     n, p = quad.design.shape
     if n < p:
-        root = quad.root()
-        d = prior if col is None else prior + _mask_variance(quad, col, root)
-        root = root if col is None else root * col
+        d = prior if col is None else prior + col * (1.0 - col) * quad.s_diag
+        root = quad.root(col)
         v, logdet = capacitance_inverse(d, root)
 
         def apply_sigma(b):
@@ -254,6 +247,6 @@ def gaussian_factor(
         return GaussianPosterior(mean, d=d, v=v, logdet=logdet)
     s_x, d = quad.s_x_xi, prior
     if col is not None:
-        s_x, d = s_x * np.outer(col, col), prior + _mask_variance(quad, col, None)
+        s_x, d = s_x * np.outer(col, col), prior + col * (1.0 - col) * quad.s_diag
     sigma, logdet = pd_inverse(s_x + np.diag(d))
     return GaussianPosterior(sigma @ score, sigma, logdet=logdet)

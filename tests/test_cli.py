@@ -125,7 +125,7 @@ def test_a_directory_in_place_of_a_file_exits_two(tmp_path, data_csv, capsys, co
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
-@pytest.mark.parametrize("target", ["directory", "missing parent", "empty"])
+@pytest.mark.parametrize("target", ["directory", "missing parent", "empty", "parent is a file"])
 @pytest.mark.parametrize("command, flag", [("fit", "--out"), ("simulate", "--out"),
                                            ("simulate", "--summary-out"), ("predict", "--out")])
 def test_an_unwritable_output_path_exits_two_before_any_fit(
@@ -150,8 +150,10 @@ def test_an_unwritable_output_path_exits_two_before_any_fit(
                      "--summary-out": str(tmp_path / "o.summary")},
         "predict": {"--model": str(model), "--data": str(new), "--out": str(tmp_path / "p.json")},
     }[command]
+    blocker = tmp_path / "a file"
+    blocker.write_text("", encoding="utf-8")
     bad = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "o.out",
-           "empty": ""}[target]
+           "empty": "", "parent is a file": blocker / "o.out"}[target]
     args[flag] = str(bad)
     with pytest.raises(OSError) as opened:  # what writing the file would raise
         open(bad, "w", encoding="utf-8")
@@ -548,11 +550,12 @@ def _without(cfg, key):
         ("simulate", {**_without(_CUSTOM, "z_mask"), "random_k": "5"}, "random_k must lie"),
         ("simulate", "", "--methods"),
         ("simulate", "laplace,laplace", "--methods"),
+        ("simulate", {**_CUSTOM, "bogus": "1"}, "unknown scenario key 'bogus'"),
     ],
     ids=["epsilon-abc", "c-2", "no-sigma0", "random_k-9", "n-abc", "n-1", "methods-foo",
          "nu-inf", "delta-inf", "A-inf", "rho2-inf", "sigma0-neg", "sigma0-inf", "sigma2_x-neg",
          "mu0-nan", "mu_x-inf", "zero-coefficients", "z_mask-full", "z_mask-2", "random_k-p",
-         "methods-empty", "methods-repeated"],
+         "methods-empty", "methods-repeated", "unknown-key"],
 )
 def test_invalid_config_values_exit_two(tmp_path, data_csv, capsys, command, config, message):
     argv = ["--out", str(tmp_path / "o.out")]
@@ -584,6 +587,20 @@ def test_simulate_rejects_a_study_that_cannot_run(tmp_path, capsys, flag, value,
     err = capsys.readouterr().err
     assert err.startswith("error: invalid scenario config:") and field in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_fit_refuses_a_negative_count_before_any_fit(tmp_path, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a fit ran on an invalid dataset")
+
+    monkeypatch.setitem(harness.FITTERS, Method.LAPLACE, refuse)
+    data, out = tmp_path / "negative.csv", tmp_path / "o.json"
+    data.write_text("x1,y\n0.5,1\n-0.3,-2\n1.2,0\n", encoding="utf-8")
+    code = cli(["fit", "--method", "laplace", "--data", str(data), "--response", "y",
+                "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "invalid dataset: negative count\n"
+    assert not out.exists()
 
 
 def test_fit_warns_when_a_divergence_ends_it(tmp_path, capsys):

@@ -63,6 +63,22 @@ def test_validate_flags_constant_column():
     assert any("zero-variance column 2" in d for d in diags)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (4,)])
+def test_validate_gives_an_empty_design_one_diagnostic(shape):
+    design = np.ones(shape)
+    diags = validate(Dataset(design, np.zeros(design.shape[0])))
+    assert diags == ["design must be a non-empty 2-d matrix"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 2])
+def test_validate_gives_a_non_finite_design_entry_one_diagnostic(value, column):
+    ds = _clean_dataset()
+    x = ds.design.copy()
+    x[3, column] = value
+    assert validate(Dataset(x, ds.response)) == ["non-finite design entry"]
+
+
 def test_validate_flags_length_mismatch():
     ds = _clean_dataset()
     diags = validate(Dataset(ds.design, ds.response[:-1]))
@@ -85,6 +101,8 @@ def test_hyperparameter_validation():
         Hyperparameters(max_iter=0)
     with pytest.raises(ValueError):
         Hyperparameters(a_gamma=0.0)
+    with pytest.raises(ValueError, match="epsilon must be below 1"):
+        Hyperparameters(epsilon=1.0)
 
 
 def test_inclusion_odds_helper():

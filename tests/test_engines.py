@@ -107,10 +107,20 @@ def _count_computations(monkeypatch, cls, name, counts):
 def test_a_wide_fit_forms_no_p_by_p_matrix_per_sweep(monkeypatch, fitter):
     # n < p: Laplace and CS form neither X^T W X nor a dense covariance, which
     # their fits form only when read; the Bernoulli mask sweep reads both, once
-    # per sweep, and nothing else does
-    counts = {"s_x_xi": 0, "covariance": 0}
+    # per sweep, and nothing else does. Each bound forms its root R once, and
+    # its solves, its ELBO term and its X^T W X all read that one
+    counts = {"s_x_xi": 0, "covariance": 0, "_root": 0}
     _count_computations(monkeypatch, QuadApprox, "s_x_xi", counts)
     _count_computations(monkeypatch, GaussianPosterior, "covariance", counts)
+    _count_computations(monkeypatch, QuadApprox, "_root", counts)
+    bounds = []
+    init = QuadApprox.__init__
+
+    def counted_init(self, *args, **kwargs):
+        bounds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadApprox, "__init__", counted_init)
     ds, _ = _small_data(n=12, p=30)
     fit = fitter(ds, Hyperparameters(epsilon=1e-300, max_iter=15))
     assert fit.iterations == 15
@@ -119,7 +129,7 @@ def test_a_wide_fit_forms_no_p_by_p_matrix_per_sweep(monkeypatch, fitter):
         fit_cs: {"s_x_xi": 0, "covariance": 0},
         fit_bernoulli: {"s_x_xi": 15, "covariance": 15},
     }[fitter]
-    assert counts == expected
+    assert counts == {**expected, "_root": len(bounds)}
 
 
 @pytest.mark.parametrize("fitter", [fit_laplace, fit_cs, fit_bernoulli])

@@ -52,6 +52,29 @@ def test_refresh_score_is_the_surrogate_linear_term(seed, n, p):
     assert np.array_equal(q.score, x.T @ (y - np.exp(xi) * (1.0 - xi)))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+def test_a_wide_bound_forms_s_exactly_symmetric_within_its_rounding(data, seed, n):
+    p = data.draw(st.integers(n + 1, 80), label="p")
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=p - 1)
+    x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * scales])
+    xi = rng.uniform(-5.0, 5.0, size=n)
+    q = refresh(xi, Dataset(x, np.zeros(n)))
+    s = q.s_x_xi
+    assert np.array_equal(s, s.T)
+    # each product r_ij r_ik carries the rounding of e^(xi_i / 2) and of three
+    # products, and the sum of n of them adds n more (Higham 2002, sec. 3.1):
+    # (n + 4) eps of sum_i e^xi_i |x_ij x_ik|, counting eps as two units
+    x_long = x.astype(np.longdouble)
+    exact = (x_long * np.exp(xi.astype(np.longdouble))[:, None]).T @ x_long
+    scale = (np.abs(x) * np.exp(xi)[:, None]).T @ np.abs(x)
+    bound = (n + 4) * np.finfo(float).eps * scale
+    assert np.all(np.abs(s - exact).astype(float) <= bound)
+    assert np.all(np.abs(q.s_diag - np.diag(exact)).astype(float) <= np.diag(bound))
+
+
 def test_refresh_rejects_overflowing_expansion():
     ds = Dataset(np.ones((1, 1)), np.zeros(1))
     with pytest.raises(DivergenceError):

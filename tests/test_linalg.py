@@ -207,6 +207,29 @@ def test_the_capacitance_solve_matches_the_dense_inverse(data, seed, n, masked):
     assert post.logdet == pytest.approx(float(logdet_ref), rel=1e-10)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), masked=st.booleans())
+def test_the_right_side_solve_meets_its_rounding_bound(data, seed, n, masked):
+    # V = L^-1 R D^-1 against forward substitution with the same L in extended
+    # precision: a triangular solve's computed x has |x - L^-1 b| <= gamma_n
+    # |L^-1| |L| |x| (Higham 2002, thm. 8.5), gamma_n under (n + 1) eps / 2;
+    # eps in its place leaves a factor 2 for the bound's own float64 rounding
+    p = data.draw(st.integers(n + 1, 60), label="p")
+    quad, d, _, col = _capacitance_case(seed, n, p, masked)
+    root = quad.root(col)
+    v = capacitance_inverse(d, root)[0]
+    scaled = root / d
+    chol = scipy.linalg.cholesky(scaled @ root.T + np.eye(n), lower=True)
+    exact = np.zeros((n, p), dtype=np.longdouble)
+    chol_long = chol.astype(np.longdouble)
+    for i in range(n):
+        exact[i] = (scaled[i] - chol_long[i, :i] @ exact[:i]) / chol_long[i, i]
+    inv_chol = np.abs(scipy.linalg.solve_triangular(chol, np.eye(n), lower=True))
+    bound = (n + 1) * np.finfo(float).eps * (inv_chol @ np.abs(chol) @ np.abs(v))
+    assert np.all(np.abs(v - exact).astype(float) <= bound)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf, -np.inf])
 def test_the_capacitance_solve_rejects_a_diagonal_that_is_not_positive_and_finite(bad):
     quad, d, score, _ = _capacitance_case(0, 5, 12, False)
@@ -389,7 +412,8 @@ def _scipy_pd_inverse(precision):
 
 
 def _scipy_capacitance_inverse(d, root):
-    """capacitance_inverse through scipy.linalg.cholesky and solve_triangular."""
+    """capacitance_inverse through scipy.linalg.cholesky and scipy's dtrsm
+    wrapper, as a right-side solve on the transpose."""
     scaled = root / d
     cap = scaled @ root.T
     cap.flat[:: cap.shape[0] + 1] += 1.0
@@ -397,7 +421,7 @@ def _scipy_capacitance_inverse(d, root):
         chol = scipy.linalg.cholesky(cap, lower=True)
     except (scipy.linalg.LinAlgError, ValueError):
         raise NumericalError("not PD") from None
-    v = scipy.linalg.solve_triangular(chol, scaled, lower=True, check_finite=False)
+    v = scipy.linalg.blas.dtrsm(1.0, chol, scaled.T, side=1, lower=1, trans_a=1).T
     return v, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
