@@ -42,17 +42,12 @@ class QuadApprox:
 
     @cached_property
     def s_x_xi(self) -> np.ndarray:
-        """The exp-weighted design cross-product S = sum(e^xi_i x_i x_i^T),
-        formed on the first read and kept. The n >= p solves and bounds read
-        it, and so does the Bernoulli engine's mask sweep; nothing else in a
-        sweep with n < p does. With n < p it is R^T R from the kept root, which
-        numpy runs as one syrk that mirrors its triangle, so exactly symmetric;
-        otherwise the weighted design's product, symmetrised."""
-        x = self.design
-        if x.shape[0] < x.shape[1]:
-            return self._root.T @ self._root
-        s_x_xi = (x * np.exp(self.xi)[:, None]).T @ x
-        return 0.5 * (s_x_xi + s_x_xi.T)
+        """The exp-weighted design cross-product S = sum(e^xi_i x_i x_i^T) =
+        R^T R, formed on the first read and kept. The n >= p solves and bounds
+        read it, and so does the Bernoulli engine's mask sweep; nothing else in
+        a sweep with n < p does. numpy runs R^T R on the kept root as one syrk
+        that mirrors its triangle, so S is exactly symmetric."""
+        return self._root.T @ self._root
 
     @cached_property
     def _root(self) -> np.ndarray:
@@ -62,9 +57,8 @@ class QuadApprox:
 
     @cached_property
     def s_diag(self) -> np.ndarray:
-        """diag S: the column sums of squares of R with n < p, else read from s_x_xi."""
-        n, p = self.design.shape
-        return np.einsum("ij,ij->j", self._root, self._root) if n < p else np.diag(self.s_x_xi)
+        """diag S, the column sums of squares of R, formed on the first read and kept."""
+        return np.einsum("ij,ij->j", self._root, self._root)
 
     def root(self, col: np.ndarray | None = None) -> np.ndarray:
         """The n x p root R = W^(1/2) X of s_x_xi, W = diag(e^xi), formed on

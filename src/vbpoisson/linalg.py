@@ -11,7 +11,6 @@ import threading
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
 from .errors import NumericalError
@@ -134,9 +133,8 @@ def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, fl
     Through the n x n capacitance matrix C = I + R D^-1 R^T = L L^T: V is
     L^-1 R D^-1 (Woodbury) and |D + R^T R| = |D| |C| (the matrix determinant
     lemma). C is at least I, so its Cholesky needs no jitter; d must be
-    positive and finite. dpotrf is called as scipy.linalg.cholesky calls it.
-    V is solved as V^T L^T = (R D^-1)^T, a right-side dtrsm on the transpose
-    of R D^-1, which is already in Fortran order, so V comes out in C order.
+    positive and finite. dpotrf and dtrtrs are called as scipy.linalg's
+    cholesky and solve_triangular call them.
     """
     if not np.all((d > 0.0) & (d < np.inf)):
         raise NumericalError("precision diagonal is not positive and finite")
@@ -146,7 +144,7 @@ def capacitance_inverse(d: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, fl
     chol, info = _lapack.dpotrf(cap, lower=1, clean=1)
     if info or not np.isfinite(cap).all():  # not finite: an entry overflowed
         raise NumericalError("capacitance matrix is not positive definite")
-    v = _blas.dtrsm(1.0, chol, scaled.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+    v = _lapack.dtrtrs(chol, scaled, lower=1)[0]
     return v, -float(np.sum(np.log(d))) - 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
@@ -229,7 +227,7 @@ def gaussian_factor(
     R = `quad.root(col)` and d = prior + col (1 - col) o diag S. With fewer
     rows than columns the solve runs through the n x n capacitance matrix and
     forms no p x p matrix; otherwise pd_inverse inverts the precision as one
-    p x p matrix and R is never formed.
+    p x p matrix.
     """
     n, p = quad.design.shape
     if n < p:

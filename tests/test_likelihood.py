@@ -54,9 +54,8 @@ def test_refresh_score_is_the_surrogate_linear_term(seed, n, p):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double")
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
-def test_a_wide_bound_forms_s_exactly_symmetric_within_its_rounding(data, seed, n):
-    p = data.draw(st.integers(n + 1, 80), label="p")
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), p=st.integers(1, 80))
+def test_s_is_exactly_symmetric_within_its_rounding(seed, n, p):
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-3.0, 3.0, size=p - 1)
     x = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * scales])
